@@ -16,21 +16,16 @@ from . import scenario
 
 
 def steering(theta, n_elements):
-    """Normalized ULA steering vector for spatial frequency ``theta``.
+    """Normalized ULA steering vectors for spatial frequencies ``theta``.
 
-    Entry ``i`` is ``exp(-2j*pi*theta*i) / sqrt(n_elements)``, so the vector
-    has unit Euclidean norm.
+    Entry ``i`` is ``exp(-2j*pi*i*theta) / sqrt(n_elements)``, so each vector
+    has unit Euclidean norm. A scalar ``theta`` gives one vector; an array of
+    shape S gives shape (n_elements, *S), one vector per column.
     """
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    i = np.arange(n_elements)
-    return np.exp(-2j * np.pi * theta * i) / np.sqrt(n_elements)
-
-
-def _steering_columns(thetas, n_elements):
-    """Steering vectors for several spatial frequencies, one per column."""
-    i = np.arange(n_elements)[:, None]
-    return np.exp(-2j * np.pi * i * np.asarray(thetas)[None, :]) / np.sqrt(n_elements)
+    i = np.arange(n_elements).reshape((-1,) + (1,) * np.ndim(theta))
+    return np.exp(-2j * np.pi * i * np.asarray(theta)) / np.sqrt(n_elements)
 
 
 def _path_weights(amplitude, n_paths):
@@ -55,7 +50,7 @@ def ris_ue_channel(gains, thetas, n_uc):
             f"(got {gains.shape} vs {thetas.shape})"
         )
     w = _path_weights(np.sqrt(n_uc), gains.size - 1)
-    return _steering_columns(thetas, n_uc) @ (w * gains)
+    return steering(thetas, n_uc) @ (w * gains)
 
 
 def bs_ris_channel(gains, dep_thetas, arr_thetas, n_antennas, n_uc):
@@ -74,15 +69,15 @@ def bs_ris_channel(gains, dep_thetas, arr_thetas, n_antennas, n_uc):
             f"(got {gains.shape}, {dep_thetas.shape}, {arr_thetas.shape})"
         )
     w = _path_weights(np.sqrt(n_uc * n_antennas), gains.size - 1)
-    a_bs = _steering_columns(dep_thetas, n_antennas)
-    a_ris = _steering_columns(arr_thetas, n_uc)
+    a_bs = steering(dep_thetas, n_antennas)
+    a_ris = steering(arr_thetas, n_uc)
     return (a_bs * (w * gains)) @ a_ris.conj().T
 
 
 @lru_cache(maxsize=16)
 def _dft_matrix_cached(n):
     thetas = (np.arange(n) - 0.5 * (n - 1)) / n
-    u = _steering_columns(thetas, n)
+    u = steering(thetas, n)
     u.setflags(write=False)
     return u
 
@@ -234,24 +229,3 @@ def realize_channels(config, rng, layout=None):
         dft_matrix=dft_matrix(config.n_antennas),
     )
 
-
-def save_channels(path, channels):
-    """Dump a realization to a ``.npz`` container (complex128 entries)."""
-    arrays = {"n_ris": np.array(channels.n_ris)}
-    for j in range(channels.n_ris):
-        arrays[f"bs_ris_{j:03d}"] = channels.bs_ris[j]
-        arrays[f"ris_ue_{j:03d}"] = channels.ris_ue[j]
-    np.savez(path, **arrays)
-
-
-def load_channels(path):
-    """Load a realization saved by :func:`save_channels`."""
-    with np.load(path, allow_pickle=False) as data:
-        n_ris = int(data["n_ris"])
-        bs_ris = tuple(data[f"bs_ris_{j:03d}"] for j in range(n_ris))
-        ris_ue = tuple(data[f"ris_ue_{j:03d}"] for j in range(n_ris))
-    return ChannelSet(
-        bs_ris=bs_ris,
-        ris_ue=ris_ue,
-        dft_matrix=dft_matrix(bs_ris[0].shape[0]),
-    )

@@ -31,7 +31,6 @@ _PSO_KEYS = (
     "inertia",
     "learn_global",
     "learn_local",
-    "local_best_memory",
 )
 # flag destinations merged into the settings dict when given
 _FLAG_KEYS = (
@@ -88,7 +87,7 @@ def build_parser():
     common(p_sweep)
     p_sweep.add_argument("--param", choices=SWEEP_AXES, default="n_users")
     p_sweep.add_argument(
-        "--values", default="4,8,16", help="comma-separated sweep values"
+        "--values", default="2,4,8", help="comma-separated sweep values"
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -8,6 +8,7 @@ which is the continuous limit of the matched-filter expression at 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -23,69 +24,75 @@ class RateReport:
     sum_rate: float
 
 
-def validate_beam_set(selected, n_antennas, n_selected):
-    """Check a beam index set and return it as a sorted int array."""
-    idx = np.unique(np.asarray(selected, dtype=int))
-    if idx.size != np.asarray(selected).size:
-        raise ValueError("beam indices must be unique")
-    if idx.size != n_selected:
+def validate_beam_set(selected, n_antennas):
+    """Check a beam index set and return it as a sorted int array.
+
+    Indices must be integers, unique, and lie in [0, n_antennas); a
+    negative index is rejected rather than wrapped.
+    """
+    sel = np.asarray(selected)
+    if sel.ndim != 1 or sel.dtype.kind not in "iu":
         raise ValueError(
-            f"exactly {n_selected} beams must be selected (got {idx.size})"
+            f"beam indices must be a 1-D integer array "
+            f"(got dtype {sel.dtype}, shape {sel.shape})"
         )
+    idx = np.unique(sel)
+    if idx.size != sel.size:
+        raise ValueError(f"beam indices must be unique (got {sel.tolist()})")
     if idx.size and (idx[0] < 0 or idx[-1] >= n_antennas):
-        raise ValueError(f"beam indices must lie in [0, {n_antennas})")
+        raise ValueError(
+            f"beam indices must lie in [0, {n_antennas}) (got {sel.tolist()})"
+        )
     return idx
 
 
-def mrt_precoder(h, selected):
-    """Unit-norm matched-filter precoder restricted to the selected beams.
+def _mrt_sinrs(h_sel, p, noise_variance):
+    """Matched-filter SINRs of a batch: (A, K, N_s) channels, (A, K) powers.
 
-    Entries outside ``selected`` are zero. Returns the zero vector when the
-    channel has no energy on the selected beams.
+    User i's precoder is conj(h_i(S)) / |h_i(S)|, so user k receives
+    p_i |<h_k(S), h_i(S)>|^2 / |h_i(S)|^2 from user i. Returns (A, K).
     """
-    h = np.asarray(h)
-    idx = np.asarray(selected, dtype=int)
-    w = np.zeros(h.shape[0], dtype=complex)
-    h_sel = h[idx]
-    norm = np.linalg.norm(h_sel)
-    if norm > 0.0:
-        w[idx] = h_sel.conj() / norm
-    return w
-
-
-def _crossgains(h_beam, selected):
-    """Matrix of |h_k^T w_i|^2 for masked matched-filter precoders."""
-    k_users = h_beam.shape[1]
-    w = np.column_stack([mrt_precoder(h_beam[:, k], selected) for k in range(k_users)])
-    cross = h_beam.T @ w
-    return cross.real**2 + cross.imag**2
+    cross = h_sel @ h_sel.conj().transpose(0, 2, 1)  # (A, K, K)
+    energy = np.einsum("akk->ak", cross).real  # |h_k(S)|^2
+    cross_sq = cross.real**2 + cross.imag**2
+    denom = energy[:, None, :]
+    received = np.divide(
+        cross_sq, denom, out=np.zeros_like(cross_sq), where=denom > 0.0
+    )
+    received *= p[:, None, :]
+    signal = p * energy
+    # self-term cancellation is exact up to rounding; clamp the residue
+    interference = np.maximum(received.sum(axis=2) - signal, 0.0)
+    return signal / (interference + noise_variance)
 
 
 def sum_rate(h_beam, selected, powers, sigma2):
     """Achievable rates for all users under a shared beam selection.
 
     ``h_beam`` is the (N, K) beamspace channel with one column per user;
-    ``powers`` the per-user transmit powers in watts.
+    ``selected`` the beam indices (see :func:`validate_beam_set`);
+    ``powers`` the per-user transmit powers in watts, finite and >= 0.
     """
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be > 0 (got {sigma2})")
+    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValueError(f"sigma2 must be finite and > 0 (got {sigma2})")
+    h_beam = np.asarray(h_beam)
+    n, k = h_beam.shape
     powers = np.asarray(powers, dtype=float)
-    gains = _crossgains(h_beam, selected)
-    received = gains * powers[None, :]
-    signal = np.diagonal(received)
-    interference = received.sum(axis=1) - signal
-    sinr = signal / (interference + sigma2)
+    if powers.shape != (k,):
+        raise ValueError(
+            f"powers must hold one entry per user: shape ({k},) "
+            f"(got {powers.shape})"
+        )
+    if not (np.isfinite(powers).all() and (powers >= 0.0).all()):
+        raise ValueError(f"powers must be finite and >= 0 (got {powers.tolist()})")
+    idx = validate_beam_set(selected, n)
+    sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2)[0]
     rates = np.log1p(sinr) / _LN2
     return RateReport(
         per_ue_sinr=sinr,
         per_ue_rate=rates,
         sum_rate=float(rates.sum()),
     )
-
-
-def sinr(k, h_beam, selected, powers, sigma2):
-    """SINR of user ``k`` under masked matched-filter precoding."""
-    return float(sum_rate(h_beam, selected, powers, sigma2).per_ue_sinr[k])
 
 
 def evaluate_solution(channels, sol, noise_variance):
@@ -144,17 +151,5 @@ class SumRateEvaluator:
         h = self.beamspace_channels(phases)  # (A, K, N)
         idx = np.asarray(beam_sets, dtype=int).T  # (A, N_s)
         h_sel = np.take_along_axis(h, idx[:, None, :], axis=2)  # (A, K, N_s)
-        cross = h_sel @ h_sel.conj().transpose(0, 2, 1)  # (A, K, K)
-        energy = np.einsum("akk->ak", cross).real  # |h_k(S)|^2
-        cross_sq = cross.real**2 + cross.imag**2
-        denom = energy[:, None, :]
-        received = np.divide(
-            cross_sq, denom, out=np.zeros_like(cross_sq), where=denom > 0.0
-        )
         p = np.asarray(powers, dtype=float).T  # (A, K)
-        received *= p[:, None, :]
-        signal = p * energy
-        # self-term cancellation is exact up to rounding; clamp the residue
-        interference = np.maximum(received.sum(axis=2) - signal, 0.0)
-        sinr_all = signal / (interference + noise_variance)
-        return np.log1p(sinr_all).sum(axis=1) / _LN2
+        return np.log1p(_mrt_sinrs(h_sel, p, noise_variance)).sum(axis=1) / _LN2

@@ -10,10 +10,12 @@ the better of its two ring neighbors (indices wrap, self excluded).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .linkrate import SumRateEvaluator
+from .scenario import _require_int
 
 _TWO_PI = 2.0 * np.pi
 
@@ -28,11 +30,10 @@ class PsoConfig:
     learn_global: float = 2.0
     learn_local: float = 2.0
     rng_seed: int = 0
-    # "best_ever" compares neighbors' historical bests, "current" their
-    # latest qualities
-    local_best_memory: str = "best_ever"
 
     def __post_init__(self):
+        for name in ("n_particles", "n_iterations", "rng_seed"):
+            _require_int(name, getattr(self, name))
         if self.n_particles < 3:
             raise ValueError(
                 "n_particles must be >= 3: the ring topology needs two "
@@ -41,15 +42,11 @@ class PsoConfig:
         if self.n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1 (got {self.n_iterations})")
         for name in ("inertia", "learn_global", "learn_local"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0 (got {value})")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative (got {self.rng_seed})")
-        if self.local_best_memory not in ("best_ever", "current"):
-            raise ValueError(
-                "local_best_memory must be 'best_ever' or 'current' "
-                f"(got {self.local_best_memory!r})"
-            )
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class Swarm:
     n_users: int
     n_uc: int
     total_power: float
-    local_best_memory: str = "best_ever"
     personal_best: np.ndarray = field(default=None, repr=False)
     personal_best_value: np.ndarray = field(default=None, repr=False)
     local_best: np.ndarray = field(default=None, repr=False)
@@ -92,17 +88,14 @@ def project_beams(column, n_antennas, rng=None):
     Works on a single column or a matrix of columns. An all-zero block is
     restarted uniformly at random (requires ``rng``) before normalizing.
     """
-    block = column[:n_antennas]
+    block = column[:n_antennas].reshape(n_antennas, -1)  # a column is (N, 1)
     np.abs(block, out=block)
     peak = block.max(axis=0, keepdims=True)
     if (peak == 0.0).any():
         if rng is None:
             raise ValueError("all-zero beam block needs an rng for the random restart")
-        if block.ndim == 1:
-            block[:] = rng.random(n_antennas)
-        else:
-            dead = np.flatnonzero(peak[0] == 0.0)
-            block[:, dead] = rng.random((n_antennas, dead.size))
+        dead = np.flatnonzero(peak[0] == 0.0)
+        block[:, dead] = rng.random((n_antennas, dead.size))
         peak = block.max(axis=0, keepdims=True)
     block /= peak
     return column
@@ -114,14 +107,11 @@ def project_powers(column, n_antennas, n_users, total_power):
     In place, single column or matrix. An all-zero block falls back to the
     equal split total_power / n_users.
     """
-    block = column[n_antennas : n_antennas + n_users]
+    block = column[n_antennas : n_antennas + n_users].reshape(n_users, -1)
     np.abs(block, out=block)
     total = block.sum(axis=0, keepdims=True)
     if (total == 0.0).any():
-        if block.ndim == 1:
-            block[:] = 1.0
-        else:
-            block[:, total[0] == 0.0] = 1.0
+        block[:, total[0] == 0.0] = 1.0
         total = block.sum(axis=0, keepdims=True)
     block *= total_power / total
     return column
@@ -160,7 +150,6 @@ def init_swarm(scenario, pso_cfg, rng):
         n_users=k,
         n_uc=m,
         total_power=scenario.total_power,
-        local_best_memory=pso_cfg.local_best_memory,
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
         local_best=np.zeros((n_vars, a)),
@@ -203,10 +192,7 @@ def update_bests(swarm):
     if swarm.personal_best_value[lead] > swarm.global_best_value:
         swarm.global_best_value = float(swarm.personal_best_value[lead])
         swarm.global_best = swarm.personal_best[:, lead].copy()
-    if swarm.local_best_memory == "best_ever":
-        values, vectors = swarm.personal_best_value, swarm.personal_best
-    else:
-        values, vectors = q, swarm.population
+    values, vectors = swarm.personal_best_value, swarm.personal_best
     a = swarm.n_particles
     left = np.roll(np.arange(a), 1)  # neighbor a-1
     right = np.roll(np.arange(a), -1)  # neighbor a+1

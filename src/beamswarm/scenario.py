@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import operator
 
 import numpy as np
 
@@ -22,6 +23,20 @@ def dbm_to_watts(x_dbm):
 def watts_to_dbm(x_watts):
     """Convert a power level in watts to dBm."""
     return 10.0 * math.log10(x_watts) + 30.0
+
+
+def _require_int(name, value):
+    """Reject a non-integral size, count or seed, naming the field."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer (got {value!r})") from None
+
+
+def _require_finite(name, value):
+    """Reject NaN and infinite values, naming the field."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite (got {value!r})")
 
 
 def even_split(m_total, n_ris):
@@ -85,6 +100,14 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_antennas", "n_users", "n_ris", "n_nlos_paths",
+                     "n_selected_beams", "rng_seed"):
+            _require_int(name, getattr(self, name))
+        for j, m in enumerate(self.uc_per_ris):
+            _require_int(f"uc_per_ris[{j}]", m)
+        for name in ("total_power", "noise_variance", "carrier_freq_ghz",
+                     "cell_radius_m", "ue_ring_min_m", "ue_ring_max_m"):
+            _require_finite(name, getattr(self, name))
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be a positive integer")
         if self.n_users < 1:
@@ -134,6 +157,8 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, **kwargs):
     ``m_total`` (default 128) splits unit cells evenly over the surfaces;
     pass ``uc_per_ris`` explicitly for uneven layouts.
     """
+    _require_finite("power_dbm", power_dbm)
+    _require_finite("noise_dbm", noise_dbm)
     if "uc_per_ris" in kwargs:
         if m_total is not None:
             raise ValueError("pass either m_total or uc_per_ris, not both")

@@ -6,10 +6,8 @@ from beamswarm.channel import (
     bs_ris_channel,
     cascaded_spatial,
     dft_matrix,
-    load_channels,
     realize_channels,
     ris_ue_channel,
-    save_channels,
     split_phases,
     steering,
     to_beamspace,
@@ -35,6 +33,13 @@ class TestSteering:
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             steering(0.0, 0)
+
+    def test_array_gives_one_column_per_frequency(self):
+        thetas = np.array([[-0.3, 0.1], [0.25, 0.4]])
+        a = steering(thetas, 5)
+        assert a.shape == (5, 2, 2)
+        for idx in np.ndindex(thetas.shape):
+            assert a[(slice(None), *idx)] == pytest.approx(steering(thetas[idx], 5))
 
 
 class TestRisUeChannel:
@@ -283,15 +288,3 @@ class TestRealizeChannels:
         assert np.abs(ch.bs_ris[0]) == pytest.approx(
             np.full((4, 2), amp), rel=1e-9
         )
-
-
-def test_save_load_roundtrip(tmp_path):
-    _, ch = _tiny_channels(seed=14)
-    path = tmp_path / "realization.npz"
-    save_channels(path, ch)
-    loaded = load_channels(path)
-    assert loaded.uc_per_ris == ch.uc_per_ris
-    for j in range(ch.n_ris):
-        assert np.array_equal(loaded.bs_ris[j], ch.bs_ris[j])
-        assert np.array_equal(loaded.ris_ue[j], ch.ris_ue[j])
-    assert loaded.dft_matrix is ch.dft_matrix  # same cached transform

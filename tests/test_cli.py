@@ -192,6 +192,15 @@ class TestSweep:
         ]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_default_values_are_feasible(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--particles", "3", "--iterations", "1", "--trials", "1",
+                "--out", str(out)]
+        code, stdout, err = _run(argv, capsys)
+        assert code == 0 and err == ""
+        values = re.findall(r"^n_users=(\d+) ", stdout, flags=re.MULTILINE)
+        assert values == ["2", "4", "8"]
+
 
 class TestConvergence:
     def test_outputs_and_file(self, capsys, tmp_path):

@@ -1,18 +1,53 @@
 import numpy as np
 import pytest
 
-from beamswarm.channel import cascaded_spatial, realize_channels, split_phases, to_beamspace
+from beamswarm.channel import (
+    ChannelSet,
+    cascaded_spatial,
+    realize_channels,
+    to_beamspace,
+)
 from beamswarm.linkrate import (
     RateReport,
     SumRateEvaluator,
     evaluate_solution,
-    mrt_precoder,
-    sinr,
     sum_rate,
     validate_beam_set,
 )
 from beamswarm.pso import Solution
 from beamswarm.scenario import derive_stream, make_config
+
+
+# Independent oracle: explicit per-user matched-filter precoders, one
+# column at a time, with no code shared with the library kernel.
+def mrt_precoder(h, selected):
+    """Unit-norm matched-filter precoder restricted to the selected beams.
+
+    Entries outside ``selected`` are zero. Returns the zero vector when the
+    channel has no energy on the selected beams.
+    """
+    h = np.asarray(h)
+    idx = np.asarray(selected, dtype=int)
+    w = np.zeros(h.shape[0], dtype=complex)
+    h_sel = h[idx]
+    norm = np.linalg.norm(h_sel)
+    if norm > 0.0:
+        w[idx] = h_sel.conj() / norm
+    return w
+
+
+def _crossgains(h_beam, selected):
+    """Matrix of |h_k^T w_i|^2 for masked matched-filter precoders."""
+    k_users = h_beam.shape[1]
+    w = np.column_stack([mrt_precoder(h_beam[:, k], selected) for k in range(k_users)])
+    cross = h_beam.T @ w
+    return cross.real**2 + cross.imag**2
+
+
+def oracle_sinrs(h_beam, selected, powers, sigma2):
+    received = _crossgains(h_beam, selected) * np.asarray(powers)[None, :]
+    signal = np.diagonal(received)
+    return signal / (received.sum(axis=1) - signal + sigma2)
 
 
 class TestMrtPrecoder:
@@ -42,17 +77,23 @@ class TestMrtPrecoder:
 
 
 def test_validate_beam_set():
-    assert list(validate_beam_set([3, 1], 4, 2)) == [1, 3]
+    assert list(validate_beam_set([3, 1], 4)) == [1, 3]
     with pytest.raises(ValueError, match="unique"):
-        validate_beam_set([1, 1], 4, 2)
-    with pytest.raises(ValueError, match="exactly"):
-        validate_beam_set([1], 4, 2)
+        validate_beam_set([1, 1], 4)
     with pytest.raises(ValueError, match="lie in"):
-        validate_beam_set([1, 4], 4, 2)
+        validate_beam_set([1, 4], 4)
+    with pytest.raises(ValueError, match="lie in"):
+        validate_beam_set([-1, 2], 4)
+    with pytest.raises(ValueError, match="integer"):
+        validate_beam_set([0.0, 1.5], 4)
 
 
 def _random_beamspace(rng, n=8, k=3):
     return rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+
+
+def _sinr(k, h, selected, powers, sigma2):
+    return sum_rate(h, selected, powers, sigma2).per_ue_sinr[k]
 
 
 class TestSinr:
@@ -60,13 +101,13 @@ class TestSinr:
         rng = np.random.default_rng(1)
         h = _random_beamspace(rng, 6, 1)
         p = np.array([2.5])
-        got = sinr(0, h, np.arange(6), p, 1e-3)
+        got = _sinr(0, h, np.arange(6), p, 1e-3)
         assert got == pytest.approx(2.5 * np.linalg.norm(h) ** 2 / 1e-3, rel=1e-12)
 
     def test_zero_power_zero_sinr(self):
         rng = np.random.default_rng(2)
         h = _random_beamspace(rng, 6, 2)
-        assert sinr(0, h, np.arange(6), np.array([0.0, 1.0]), 1e-3) == 0.0
+        assert _sinr(0, h, np.arange(6), np.array([0.0, 1.0]), 1e-3) == 0.0
 
     def test_orthogonal_masked_channels(self):
         # users live on disjoint beams, so cross terms vanish
@@ -77,12 +118,145 @@ class TestSinr:
         mask = np.arange(4)
         for k in range(2):
             expected = p[k] * np.linalg.norm(h[:, k]) ** 2 / 1e-2
-            assert sinr(k, h, mask, p, 1e-2) == pytest.approx(expected, rel=1e-12)
+            assert _sinr(k, h, mask, p, 1e-2) == pytest.approx(expected, rel=1e-12)
 
     def test_noise_domain_error(self):
         h = _random_beamspace(np.random.default_rng(3), 4, 2)
         with pytest.raises(ValueError, match="sigma2"):
-            sinr(0, h, np.arange(4), np.array([1.0, 1.0]), 0.0)
+            _sinr(0, h, np.arange(4), np.array([1.0, 1.0]), 0.0)
+
+
+def _oracle_instance(rng, i):
+    """Random (h, selected, powers, sigma2); every few draws an edge case."""
+    n, k = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+    n_s = 1 if i % 5 == 1 else int(rng.integers(1, n + 1))
+    h = _random_beamspace(rng, n, k)
+    selected = rng.choice(n, size=n_s, replace=False)
+    if i % 5 == 0:
+        h[selected, int(rng.integers(k))] = 0.0  # a zero-energy user
+    powers = rng.random(k) * 10.0 ** rng.uniform(-2, 2)
+    return h, selected, powers, 10.0 ** rng.uniform(-2, 0)
+
+
+class TestAgainstOracle:
+    def test_sum_rate_sinrs_on_random_instances(self):
+        rng = np.random.default_rng(20)
+        for i in range(500):
+            h, selected, powers, sigma2 = _oracle_instance(rng, i)
+            got = sum_rate(h, selected, powers, sigma2).per_ue_sinr
+            want = oracle_sinrs(h, selected, powers, sigma2)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_full_mask_on_spatial_channel(self):
+        for seed in range(20):
+            cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=6,
+                              n_selected_beams=8)
+            rng = derive_stream(seed, 21)
+            ch = realize_channels(cfg, rng)
+            h_bar = cascaded_spatial(ch, rng.uniform(0, 2 * np.pi, 6))
+            powers = rng.random(3)
+            full = np.arange(8)
+            got = sum_rate(h_bar, full, powers, cfg.noise_variance).per_ue_sinr
+            want = oracle_sinrs(h_bar, full, powers, cfg.noise_variance)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_evaluator_sum_rates_on_random_instances(self):
+        batch = 20
+        for seed in range(25):
+            rng = derive_stream(seed, 22)
+            n = int(rng.choice([4, 8, 16]))
+            k = int(rng.integers(1, 5))
+            n_s = int(rng.integers(k, n + 1))
+            n_ris = int(rng.integers(1, 4))
+            m = n_ris * int(rng.integers(1, 5))
+            cfg = make_config(n_antennas=n, n_users=k, n_ris=n_ris, m_total=m,
+                              n_selected_beams=n_s)
+            ch = realize_channels(cfg, rng)
+            if seed % 5 == 0:  # user 0 sees no surface: zero energy on every beam
+                silent = [g.copy() for g in ch.ris_ue]
+                for g in silent:
+                    g[:, 0] = 0.0
+                ch = ChannelSet(ch.bs_ris, silent, ch.dft_matrix)
+            phases = rng.uniform(0, 2 * np.pi, (m, batch))
+            beam_sets = np.stack(
+                [np.sort(rng.choice(n, size=n_s, replace=False)) for _ in range(batch)],
+                axis=1,
+            )
+            powers = rng.random((k, batch)) * cfg.total_power / k
+            got = SumRateEvaluator(ch).sum_rates(
+                phases, beam_sets, powers, cfg.noise_variance
+            )
+            for a in range(batch):
+                h = to_beamspace(cascaded_spatial(ch, phases[:, a]), ch.dft_matrix)
+                sinrs = oracle_sinrs(h, beam_sets[:, a], powers[:, a],
+                                     cfg.noise_variance)
+                assert got[a] == pytest.approx(np.log2(1 + sinrs).sum(), rel=1e-10)
+
+
+class TestInvariants:
+    def test_beam_order_does_not_matter(self):
+        rng = np.random.default_rng(23)
+        for i in range(50):
+            h, selected, powers, sigma2 = _oracle_instance(rng, i)
+            a = sum_rate(h, selected, powers, sigma2)
+            b = sum_rate(h, rng.permutation(selected), powers, sigma2)
+            assert np.array_equal(a.per_ue_rate, b.per_ue_rate)
+
+    def test_evaluator_beam_order_and_phase_period(self):
+        cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
+                          n_selected_beams=5)
+        rng = derive_stream(24, 1)
+        ev = SumRateEvaluator(realize_channels(cfg, rng))
+        phases = rng.uniform(0, 2 * np.pi, (10, 6))
+        beam_sets = np.stack(
+            [rng.choice(8, size=5, replace=False) for _ in range(6)], axis=1
+        )
+        powers = rng.random((3, 6))
+        base = ev.sum_rates(phases, beam_sets, powers, cfg.noise_variance)
+        shuffled = ev.sum_rates(phases, rng.permuted(beam_sets, axis=0), powers,
+                                cfg.noise_variance)
+        shifted = ev.sum_rates(phases + 2 * np.pi, beam_sets, powers,
+                               cfg.noise_variance)
+        assert shuffled == pytest.approx(base, rel=1e-12)
+        assert shifted == pytest.approx(base, rel=1e-10)
+
+    def test_user_permutation_permutes_rates(self):
+        rng = np.random.default_rng(25)
+        for i in range(50):
+            h, selected, powers, sigma2 = _oracle_instance(rng, i)
+            perm = rng.permutation(h.shape[1])
+            r = sum_rate(h, selected, powers, sigma2).per_ue_rate
+            r_perm = sum_rate(h[:, perm], selected, powers[perm], sigma2).per_ue_rate
+            assert r_perm == pytest.approx(r[perm], rel=1e-12, abs=0.0)
+
+    def test_rates_nonnegative(self):
+        rng = np.random.default_rng(26)
+        for i in range(200):
+            report = sum_rate(*_oracle_instance(rng, i))
+            assert np.all(report.per_ue_rate >= 0.0)
+            assert report.sum_rate >= 0.0
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "selected, match",
+        [([0, 0, 1], "unique"), ([-1, 0, 1], "lie in"), ([0, 1, 4], "lie in")],
+    )
+    def test_rejects_bad_beam_sets(self, selected, match):
+        h = _random_beamspace(np.random.default_rng(27), 4, 2)
+        with pytest.raises(ValueError, match=match):
+            sum_rate(h, selected, np.ones(2), 1e-3)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_rejects_bad_powers(self, bad):
+        h = _random_beamspace(np.random.default_rng(28), 4, 2)
+        with pytest.raises(ValueError, match="powers"):
+            sum_rate(h, [0, 1], np.array([1.0, bad]), 1e-3)
+
+    def test_rejects_power_count_mismatch(self):
+        h = _random_beamspace(np.random.default_rng(29), 4, 2)
+        with pytest.raises(ValueError, match="one entry per user"):
+            sum_rate(h, [0, 1], np.ones(3), 1e-3)
 
 
 class TestSumRate:
@@ -238,8 +412,6 @@ class TestEvaluateSolution:
         rng = derive_stream(6, 1)
         sol = _solution_for(cfg, rng)
         perm = np.array([2, 0, 1])
-        from beamswarm.channel import ChannelSet
-
         permuted = ChannelSet(
             ch.bs_ris,
             tuple(g[:, perm] for g in ch.ris_ue),
@@ -296,8 +468,6 @@ class TestSumRateEvaluator:
 
     def test_degenerate_column_handled(self):
         # hand-built channels where both users vanish on the selected beams
-        from beamswarm.channel import ChannelSet
-
         n, m = 4, 2
         c = np.zeros((n, m), dtype=complex)
         c[2, 0] = 1.0

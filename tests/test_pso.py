@@ -29,7 +29,6 @@ class TestPsoConfig:
         cfg = PsoConfig()
         assert (cfg.n_particles, cfg.n_iterations) == (50, 200)
         assert (cfg.inertia, cfg.learn_global, cfg.learn_local) == (0.05, 2.0, 2.0)
-        assert cfg.local_best_memory == "best_ever"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ring"):
@@ -42,8 +41,21 @@ class TestPsoConfig:
             PsoConfig(learn_local=-1.0)
         with pytest.raises(ValueError, match="rng_seed"):
             PsoConfig(rng_seed=-1)
-        with pytest.raises(ValueError, match="local_best_memory"):
-            PsoConfig(local_best_memory="instant")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_particles", 50.5),
+            ("n_iterations", 10.0),
+            ("rng_seed", 1.5),
+            ("inertia", float("nan")),
+            ("learn_global", float("inf")),
+            ("learn_local", float("nan")),
+        ],
+    )
+    def test_rejects_non_integral_and_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PsoConfig(**{field: value})
 
 
 class TestProjections:
@@ -73,6 +85,13 @@ class TestProjections:
         assert col.max() == 1.0
         with pytest.raises(ValueError, match="rng"):
             project_beams(np.zeros(4), 4)
+
+    def test_column_restart_draws_like_a_one_column_matrix(self):
+        col = np.zeros(4)
+        mat = np.zeros((4, 1))
+        project_beams(col, 4, np.random.default_rng(7))
+        project_beams(mat, 4, np.random.default_rng(7))
+        assert np.array_equal(col, mat[:, 0])
 
     def test_beams_matrix_with_partial_dead_columns(self):
         rng = np.random.default_rng(2)
@@ -190,7 +209,7 @@ class TestTopBeamsAndDecode:
         assert list(sol.beam_set) == [0]
 
 
-def _toy_swarm(population, quality, memory="best_ever"):
+def _toy_swarm(population, quality):
     n_vars, a = population.shape
     return Swarm(
         population=population.astype(float),
@@ -200,7 +219,6 @@ def _toy_swarm(population, quality, memory="best_ever"):
         n_users=1,
         n_uc=n_vars - 2,
         total_power=1.0,
-        local_best_memory=memory,
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
         local_best=np.zeros((n_vars, a)),
@@ -239,17 +257,6 @@ class TestUpdateBests:
         assert swarm.global_best_value == 9.0
         # best-ever memory keeps the old neighbor peaks too
         assert swarm.local_best_value[0] == 9.0
-
-    def test_current_memory_tracks_latest_qualities(self):
-        pop = np.arange(9.0).reshape(3, 3)
-        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0], memory="current")
-        update_bests(swarm)
-        swarm.quality = np.array([1.0, 2.0, 3.0])
-        update_bests(swarm)
-        assert swarm.global_best_value == 9.0  # global stays best-ever
-        assert swarm.local_best_value[0] == 3.0  # max(q[2]=3, q[1]=2)
-        assert swarm.local_best_value[1] == 3.0  # max(q[0]=1, q[2]=3)
-        assert swarm.local_best_value[2] == 2.0  # max(q[1]=2, q[0]=1)
 
 
 class _OnesRng:

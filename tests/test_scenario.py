@@ -93,6 +93,25 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="rng_seed"):
             make_config(rng_seed=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"power_dbm": float("nan")}, "power_dbm"),
+            ({"noise_dbm": float("inf")}, "noise_dbm"),
+            ({"carrier_freq_ghz": float("nan")}, "carrier_freq_ghz"),
+            ({"cell_radius_m": float("inf")}, "cell_radius_m"),
+            ({"n_antennas": 64.5}, "n_antennas"),
+            ({"n_users": 4.0}, "n_users"),
+            ({"n_selected_beams": 8.5}, "n_selected_beams"),
+            ({"n_nlos_paths": 1.5}, "n_nlos_paths"),
+            ({"rng_seed": 0.5}, "rng_seed"),
+            ({"n_ris": 2, "uc_per_ris": (16, 8.5)}, r"uc_per_ris\[1\]"),
+        ],
+    )
+    def test_rejects_non_integral_and_non_finite(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            make_config(**kwargs)
+
 
 class TestPlaceNodes:
     def test_ris_even_spacing(self):
