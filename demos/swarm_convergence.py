@@ -3,8 +3,7 @@
 import numpy as np
 
 from beamswarm import PsoConfig, make_config, optimize, realize_channels, derive_stream
-from beamswarm.harness import iterations_to_fraction
-from beamswarm.pso import trace_to_csv
+from beamswarm.harness import emit_trace_csv, iterations_to_fraction
 
 cfg = make_config(rng_seed=1)
 pso_cfg = PsoConfig(rng_seed=1)  # A=50 particles, T=200 iterations
@@ -26,5 +25,5 @@ print(f"\nbest solution uses beams {solution.beam_set.tolist()}")
 watts = ", ".join(f"{p:.2f}" for p in solution.powers)
 print(f"power split (W): [{watts}]  (budget {cfg.total_power:.0f} W)")
 
-trace_to_csv(trace, "swarm_trace.csv")
+emit_trace_csv(trace, "swarm_trace.csv")
 print("wrote swarm_trace.csv")

@@ -19,7 +19,6 @@ from .harness import (
     ExperimentSpec,
     SweepResult,
     emit_csv,
-    run_convergence,
     run_sweep,
     run_trial,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "optimize",
     "place_nodes",
     "realize_channels",
-    "run_convergence",
     "run_sweep",
     "run_trial",
     "steering",

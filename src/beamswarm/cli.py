@@ -15,14 +15,15 @@ from pathlib import Path
 from .harness import (
     SWEEP_AXES,
     ExperimentSpec,
+    emit_convergence_csv,
+    emit_csv,
+    emit_trace_csv,
     iterations_to_fraction,
-    run_convergence,
     run_sweep,
     run_trial,
-    emit_convergence_csv,
     summary_path_for,
 )
-from .pso import PsoConfig, trace_to_csv
+from .pso import PsoConfig
 from .scenario import make_config
 
 _PSO_KEYS = (
@@ -68,15 +69,18 @@ def build_parser():
         p.add_argument("--power-dbm", type=float, help="transmit power budget")
         p.add_argument("--noise-dbm", type=float, help="noise variance")
         p.add_argument("--seed", type=int, help="top-level seed (default 0)")
-        p.add_argument("--trials", type=int, help="trials per point (default 200)")
         p.add_argument(
             "--iterations", type=int, dest="n_iterations", help="swarm iterations (T)"
         )
         p.add_argument(
             "--particles", type=int, dest="n_particles", help="swarm size (A)"
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--out", help="output CSV path")
+
+    def multi_trial(p):
+        common(p)
+        p.add_argument("--trials", type=int, help="trials per point (default 200)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p_trial = sub.add_parser("trial", help="run one seeded trial")
     common(p_trial)
@@ -84,7 +88,7 @@ def build_parser():
     p_trial.set_defaults(func=_cmd_trial)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over values")
-    common(p_sweep)
+    multi_trial(p_sweep)
     p_sweep.add_argument("--param", choices=SWEEP_AXES, default="n_users")
     p_sweep.add_argument(
         "--values", default="2,4,8", help="comma-separated sweep values"
@@ -94,7 +98,7 @@ def build_parser():
     p_conv = sub.add_parser(
         "convergence", help="mean best-so-far trace per sweep value"
     )
-    common(p_conv)
+    multi_trial(p_conv)
     p_conv.add_argument("--param", choices=SWEEP_AXES, default="m_total")
     p_conv.add_argument(
         "--values", default="64,128,256", help="comma-separated sweep values"
@@ -144,12 +148,12 @@ def _cmd_trial(args):
         f"random_baseline_bps_hz={baseline:.9g} iterations={trace.size - 1}"
     )
     if args.out:
-        trace_to_csv(trace, args.out)
+        emit_trace_csv(trace, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
-def _make_spec(args, default_out):
+def _make_spec(args):
     scenario, pso_cfg = _assemble(args)
     return ExperimentSpec(
         scenario=scenario,
@@ -157,32 +161,33 @@ def _make_spec(args, default_out):
         sweep_param=args.param,
         sweep_values=_parse_values(args.values),
         n_trials=args.trials if args.trials is not None else 200,
-        out_path=args.out if args.out else default_out,
     )
 
 
 def _cmd_sweep(args):
-    spec = _make_spec(args, "sweep.csv")
+    spec = _make_spec(args)
     result = run_sweep(spec, jobs=args.jobs)
+    out = args.out or "sweep.csv"
+    emit_csv(result, out)
     for i, value in enumerate(result.sweep_values):
         print(
             f"{spec.sweep_param}={value} mean_bps_hz={result.means[i]:.9g} "
             f"stderr={result.stderrs[i]:.9g} n_trials={result.n_trials}"
         )
-    print(f"wrote {spec.out_path} and {summary_path_for(spec.out_path)}")
+    print(f"wrote {out} and {summary_path_for(out)}")
     return 0
 
 
 def _cmd_convergence(args):
-    spec = _make_spec(args, "convergence.csv")
-    result = run_convergence(spec, jobs=args.jobs)
+    spec = _make_spec(args)
+    result = run_sweep(spec, jobs=args.jobs)
     for value, trace in zip(result.sweep_values, result.mean_traces):
         reach = iterations_to_fraction(trace)
         print(
             f"{spec.sweep_param}={value} final_bps_hz={trace[-1]:.9g} "
             f"iterations_to_95pct={reach}"
         )
-    out = emit_convergence_csv(result, spec.out_path)
+    out = emit_convergence_csv(result, args.out or "convergence.csv")
     print(f"wrote {out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment drivers: single trials, sweeps and CSV export.
+"""Monte-Carlo experiment drivers: single trials, one sweep runner and CSV export.
 
 Every trial owns derived random streams keyed by (top seed, sweep value
 index, trial index), so results are independent of execution order and of
@@ -8,16 +8,18 @@ the worker count.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .channel import realize_channels
 from .pso import PsoConfig, optimize
-from .scenario import ScenarioConfig, derive_seed, derive_stream, even_split
+from .scenario import (
+    ScenarioConfig, _require_int, derive_seed, derive_stream, even_split
+)
 
 SWEEP_AXES = ("n_users", "n_selected_beams", "m_total", "n_iterations")
 
@@ -35,7 +37,6 @@ class ExperimentSpec:
     sweep_param: str
     sweep_values: tuple
     n_trials: int
-    out_path: object = None
 
     def __post_init__(self):
         if self.sweep_param not in SWEEP_AXES:
@@ -45,6 +46,9 @@ class ExperimentSpec:
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
+        for i, value in enumerate(self.sweep_values):
+            _require_int(f"sweep_values[{i}]", value)
+        _require_int("n_trials", self.n_trials)
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1 (got {self.n_trials})")
         for value in self.sweep_values:
@@ -53,7 +57,7 @@ class ExperimentSpec:
 
 def derive_configs(spec, value):
     """Configs for one sweep value; raises naming the violated constraint."""
-    value = int(value)
+    value = operator.index(value)
     scenario, pso_cfg = spec.scenario, spec.pso
     try:
         if value < 1:
@@ -77,26 +81,16 @@ def derive_configs(spec, value):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-trial sum rates plus per-value mean and standard error."""
+    """Per-trial final sum rates, their per-value mean and standard error,
+    and the per-value mean best-so-far trace."""
 
     sweep_param: str
     sweep_values: tuple
     rates: np.ndarray  # (n_values, n_trials)
     means: np.ndarray
     stderrs: np.ndarray
-    n_trials: int
-    metadata: dict
-
-
-@dataclass(frozen=True)
-class ConvergenceResult:
-    """Mean best-so-far trace per sweep value."""
-
-    sweep_param: str
-    sweep_values: tuple
     mean_traces: tuple  # one (T_v + 1,) array per sweep value
     n_trials: int
-    metadata: dict
 
 
 def run_trial(scenario, pso_cfg, trial_index):
@@ -133,6 +127,7 @@ def _value_tasks(spec):
 
 
 def _run_tasks(tasks, jobs):
+    _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (got {jobs})")
     if jobs == 1:
@@ -142,55 +137,27 @@ def _run_tasks(tasks, jobs):
         return list(pool.map(_trial_trace, tasks))
 
 
-def _metadata(spec, jobs):
-    return {
-        "scenario_seed": spec.scenario.rng_seed,
-        "pso_seed": spec.pso.rng_seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "scenario": dataclasses.asdict(spec.scenario),
-        "pso": dataclasses.asdict(spec.pso),
-        "jobs": jobs,
-    }
-
-
 def run_sweep(spec, jobs=1):
-    """All trials for all sweep values; writes CSV when out_path is set."""
+    """All trials for all sweep values: final rates and mean traces."""
     traces = _run_tasks(_value_tasks(spec), jobs)
-    rates = np.array([t[-1] for t in traces]).reshape(
-        len(spec.sweep_values), spec.n_trials
-    )
-    if spec.n_trials > 1:
-        stderrs = rates.std(axis=1, ddof=1) / np.sqrt(spec.n_trials)
+    n = spec.n_trials
+    rates = np.array([t[-1] for t in traces]).reshape(len(spec.sweep_values), n)
+    if n > 1:
+        stderrs = rates.std(axis=1, ddof=1) / np.sqrt(n)
     else:
         stderrs = np.zeros(len(spec.sweep_values))
-    result = SweepResult(
+    mean_traces = tuple(
+        np.mean(traces[i * n : (i + 1) * n], axis=0)
+        for i in range(len(spec.sweep_values))
+    )
+    return SweepResult(
         sweep_param=spec.sweep_param,
         sweep_values=spec.sweep_values,
         rates=rates,
         means=rates.mean(axis=1),
         stderrs=stderrs,
-        n_trials=spec.n_trials,
-        metadata=_metadata(spec, jobs),
-    )
-    if spec.out_path is not None:
-        emit_csv(result, spec.out_path)
-    return result
-
-
-def run_convergence(spec, jobs=1):
-    """Mean trace per sweep value (averaged entrywise over trials)."""
-    traces = _run_tasks(_value_tasks(spec), jobs)
-    n = spec.n_trials
-    mean_traces = tuple(
-        np.mean(traces[i * n : (i + 1) * n], axis=0)
-        for i in range(len(spec.sweep_values))
-    )
-    return ConvergenceResult(
-        sweep_param=spec.sweep_param,
-        sweep_values=spec.sweep_values,
         mean_traces=mean_traces,
         n_trials=n,
-        metadata=_metadata(spec, jobs),
     )
 
 
@@ -207,8 +174,11 @@ def _fmt(x):
 
 
 def _write_rows(path, rows):
+    """Write rows as UTF-8 with LF line endings; returns the path."""
+    path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
+    return path
 
 
 def summary_path_for(path):
@@ -224,7 +194,6 @@ def emit_csv(result, path):
     next to the detail file with a ``_summary`` stem suffix. Numbers carry
     9 significant digits; files are UTF-8 with LF line endings.
     """
-    path = Path(path)
     detail = ["sweep_param,sweep_value,trial,sum_rate_bps_hz"]
     for v_index, value in enumerate(result.sweep_values):
         detail.extend(
@@ -237,10 +206,7 @@ def emit_csv(result, path):
         f"{result.n_trials}"
         for i, value in enumerate(result.sweep_values)
     )
-    summary = summary_path_for(path)
-    _write_rows(path, detail)
-    _write_rows(summary, aggregate)
-    return path, summary
+    return _write_rows(path, detail), _write_rows(summary_path_for(path), aggregate)
 
 
 def emit_convergence_csv(result, path):
@@ -250,6 +216,11 @@ def emit_convergence_csv(result, path):
         rows.extend(
             f"{_fmt(value)},{i},{_fmt(r)}" for i, r in enumerate(trace)
         )
-    path = Path(path)
-    _write_rows(path, rows)
-    return path
+    return _write_rows(path, rows)
+
+
+def emit_trace_csv(trace, path):
+    """Write one trial's per-iteration best sum rate as iteration,best_rate rows."""
+    rows = ["iteration,best_rate"]
+    rows.extend(f"{i},{_fmt(r)}" for i, r in enumerate(trace))
+    return _write_rows(path, rows)

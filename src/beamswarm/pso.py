@@ -268,10 +268,3 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
     best = decode(swarm.global_best, scenario)
     return best, float(swarm.global_best_value), trace
 
-
-def trace_to_csv(trace, path):
-    """Write the per-iteration best sum rate as iteration,best_rate rows."""
-    rows = ["iteration,best_rate"]
-    rows.extend(f"{i},{v:.9g}" for i, v in enumerate(np.asarray(trace)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")

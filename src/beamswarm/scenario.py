@@ -39,6 +39,18 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite (got {value!r})")
 
 
+def _level_to_watts(name, x_dbm):
+    """A finite dBm level in watts, rejecting levels whose watts overflow."""
+    _require_finite(name, x_dbm)
+    try:
+        with np.errstate(over="raise"):  # numpy scalars overflow to inf otherwise
+            return dbm_to_watts(x_dbm)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"{name} is too large to express in watts (got {x_dbm!r})"
+        ) from None
+
+
 def even_split(m_total, n_ris):
     """Split ``m_total`` unit cells over ``n_ris`` surfaces as evenly as possible.
 
@@ -157,8 +169,8 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, **kwargs):
     ``m_total`` (default 128) splits unit cells evenly over the surfaces;
     pass ``uc_per_ris`` explicitly for uneven layouts.
     """
-    _require_finite("power_dbm", power_dbm)
-    _require_finite("noise_dbm", noise_dbm)
+    total_power = _level_to_watts("power_dbm", power_dbm)
+    noise_variance = _level_to_watts("noise_dbm", noise_dbm)
     if "uc_per_ris" in kwargs:
         if m_total is not None:
             raise ValueError("pass either m_total or uc_per_ris, not both")
@@ -166,9 +178,7 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, **kwargs):
         n_ris = kwargs.get("n_ris", ScenarioConfig.n_ris)
         kwargs["uc_per_ris"] = even_split(128 if m_total is None else m_total, n_ris)
     return ScenarioConfig(
-        total_power=dbm_to_watts(power_dbm),
-        noise_variance=dbm_to_watts(noise_dbm),
-        **kwargs,
+        total_power=total_power, noise_variance=noise_variance, **kwargs
     )
 
 

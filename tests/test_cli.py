@@ -78,6 +78,13 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--trials"])
+    def test_trial_rejects_multi_trial_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trial", *_TINY, flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestAssemble:
     def _args(self, argv):
@@ -202,17 +209,20 @@ class TestSweep:
         assert values == ["2", "4", "8"]
 
 
+def _convergence_argv(out):
+    return [
+        "convergence", *_TINY,
+        "--param", "n_iterations",
+        "--values", "3,6",
+        "--trials", "2",
+        "--out", str(out),
+    ]
+
+
 class TestConvergence:
     def test_outputs_and_file(self, capsys, tmp_path):
         out = tmp_path / "conv.csv"
-        argv = [
-            "convergence", *_TINY,
-            "--param", "n_iterations",
-            "--values", "3,6",
-            "--trials", "2",
-            "--out", str(out),
-        ]
-        code, stdout, err = _run(argv, capsys)
+        code, stdout, err = _run(_convergence_argv(out), capsys)
         assert code == 0 and err == ""
         lines = stdout.splitlines()
         assert re.fullmatch(
@@ -223,3 +233,11 @@ class TestConvergence:
         text = out.read_text(encoding="utf-8").splitlines()
         assert text[0] == "sweep_value,iteration,mean_best_rate"
         assert len(text) == 1 + 4 + 7
+
+    def test_byte_identical_across_runs_and_jobs(self, capsys, tmp_path):
+        paths = [tmp_path / f"c{i}.csv" for i in range(3)]
+        _run(_convergence_argv(paths[0]), capsys)
+        _run(_convergence_argv(paths[1]), capsys)
+        _run(_convergence_argv(paths[2]) + ["--jobs", "2"], capsys)
+        blobs = [p.read_bytes() for p in paths]
+        assert blobs[0] == blobs[1] == blobs[2]

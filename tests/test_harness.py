@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from beamswarm.harness import (
-    ConvergenceResult,
     ExperimentSpec,
     SweepResult,
     derive_configs,
     emit_convergence_csv,
     emit_csv,
+    emit_trace_csv,
     iterations_to_fraction,
-    run_convergence,
     run_sweep,
     run_trial,
     summary_path_for,
@@ -66,6 +65,20 @@ class TestExperimentSpec:
     def test_rejects_nonpositive_value(self):
         with pytest.raises(ValueError, match="positive"):
             _spec(sweep_param="n_iterations", sweep_values=(0,))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n_trials": 2.5}, "n_trials"),
+            ({"n_trials": 2.0}, "n_trials"),
+            ({"sweep_values": (2.7,)}, r"sweep_values\[0\]"),
+            ({"sweep_values": (2, 4.0)}, r"sweep_values\[1\]"),
+            ({"sweep_values": ("3",)}, r"sweep_values\[0\]"),
+        ],
+    )
+    def test_rejects_non_integral_counts(self, overrides, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            _spec(**overrides)
 
     def test_values_are_tuplized(self):
         spec = _spec(sweep_values=[2, 4])
@@ -129,13 +142,22 @@ class TestRunSweep:
     def test_rates_match_independently_recomputed_trials(self):
         spec = _spec()
         result = run_sweep(spec)
-        scenario, pso = derive_configs(spec, spec.sweep_values[1])
-        scenario = dataclasses.replace(
-            scenario, rng_seed=derive_seed(spec.scenario.rng_seed, 1)
-        )
-        pso = dataclasses.replace(pso, rng_seed=derive_seed(spec.pso.rng_seed, 1))
-        best, _, trace = run_trial(scenario, pso, 0)
-        assert result.rates[1, 0] == best == trace[-1]
+        for v_index, value in enumerate(spec.sweep_values):
+            scenario, pso = derive_configs(spec, value)
+            scenario = dataclasses.replace(
+                scenario, rng_seed=derive_seed(spec.scenario.rng_seed, v_index)
+            )
+            pso = dataclasses.replace(
+                pso, rng_seed=derive_seed(spec.pso.rng_seed, v_index)
+            )
+            traces = []
+            for t in range(spec.n_trials):
+                best, _, trace = run_trial(scenario, pso, t)
+                assert result.rates[v_index, t] == best == trace[-1]
+                traces.append(trace)
+            assert np.array_equal(
+                result.mean_traces[v_index], np.mean(traces, axis=0)
+            )
 
     def test_worker_count_does_not_change_results(self):
         spec = _spec()
@@ -148,15 +170,11 @@ class TestRunSweep:
         assert result.rates.shape == (2, 1)
         assert np.all(result.stderrs == 0.0)
 
-    def test_out_path_writes_both_files(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        run_sweep(_spec(out_path=out))
-        assert out.exists()
-        assert summary_path_for(out).exists()
-
     def test_rejects_bad_job_count(self):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(_spec(), jobs=0)
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            run_sweep(_spec(), jobs=2.0)
 
 
 def _toy_result():
@@ -167,8 +185,8 @@ def _toy_result():
         rates=rates,
         means=rates.mean(axis=1),
         stderrs=rates.std(axis=1, ddof=1) / np.sqrt(2),
+        mean_traces=(np.array([0.25, 0.5]), np.array([1.0, 1.5])),
         n_trials=2,
-        metadata={},
     )
 
 
@@ -214,19 +232,23 @@ class TestEmitCsv:
 class TestConvergence:
     def test_traces_follow_iteration_budgets(self):
         spec = _spec(sweep_param="n_iterations", sweep_values=(3, 6))
-        result = run_convergence(spec)
-        assert isinstance(result, ConvergenceResult)
+        result = run_sweep(spec)
+        assert isinstance(result, SweepResult)
         assert [t.size for t in result.mean_traces] == [4, 7]
-        for trace in result.mean_traces:
+        for trace, means in zip(result.mean_traces, result.means):
             assert np.all(np.diff(trace) >= 0.0)
+            assert trace[-1] == pytest.approx(means)
 
     def test_emit_convergence_csv(self, tmp_path):
-        result = ConvergenceResult(
+        rates = np.array([[2.0], [2.5]])
+        result = SweepResult(
             sweep_param="m_total",
             sweep_values=(4, 8),
+            rates=rates,
+            means=rates.mean(axis=1),
+            stderrs=np.zeros(2),
             mean_traces=(np.array([1.0, 2.0]), np.array([1.5, 2.5])),
             n_trials=1,
-            metadata={},
         )
         path = emit_convergence_csv(result, tmp_path / "conv.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -237,6 +259,12 @@ class TestConvergence:
             "8,0,1.5",
             "8,1,2.5",
         ]
+
+
+def test_emit_trace_csv(tmp_path):
+    path = emit_trace_csv(np.array([1.0, 2.5, 2.5]), tmp_path / "trace.csv")
+    text = path.read_text(encoding="utf-8")
+    assert text == "iteration,best_rate\n0,1\n1,2.5\n2,2.5\n"
 
 
 class TestIterationsToFraction:

@@ -15,7 +15,6 @@ from beamswarm.pso import (
     project_phases,
     project_powers,
     top_beam_indices,
-    trace_to_csv,
     update_bests,
     update_velocity_and_position,
 )
@@ -374,9 +373,3 @@ class TestOptimize:
         with pytest.raises(ValueError, match="do not match"):
             optimize(channels, wrong, PsoConfig(n_particles=4, n_iterations=2))
 
-
-def test_trace_to_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    trace_to_csv(np.array([1.0, 2.5, 2.5]), path)
-    text = path.read_text(encoding="utf-8")
-    assert text == "iteration,best_rate\n0,1\n1,2.5\n2,2.5\n"

@@ -106,6 +106,9 @@ class TestScenarioConfig:
             ({"n_nlos_paths": 1.5}, "n_nlos_paths"),
             ({"rng_seed": 0.5}, "rng_seed"),
             ({"n_ris": 2, "uc_per_ris": (16, 8.5)}, r"uc_per_ris\[1\]"),
+            ({"power_dbm": 4000.0}, "power_dbm"),
+            ({"noise_dbm": 3200}, "noise_dbm"),
+            ({"power_dbm": np.float64(4000.0)}, "power_dbm"),
         ],
     )
     def test_rejects_non_integral_and_non_finite(self, kwargs, field):
