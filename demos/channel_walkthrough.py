@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from beamswarm import make_config, place_nodes, realize_channels, derive_stream
+from beamswarm import (
+    make_config, place_nodes, realize_channels, derive_stream, watts_to_dbm
+)
 from beamswarm.channel import cascaded_spatial, to_beamspace
 from beamswarm.scenario import path_loss_db
 
@@ -11,7 +13,7 @@ rng = derive_stream(cfg.rng_seed, 0)
 
 print(f"scenario: N={cfg.n_antennas} beams, K={cfg.n_users} users, "
       f"J={cfg.n_ris} surfaces x {cfg.uc_per_ris[0]} cells, "
-      f"P={10*np.log10(cfg.total_power)+30:.0f} dBm")
+      f"P={watts_to_dbm(cfg.total_power):.0f} dBm")
 
 layout = place_nodes(cfg, rng)
 d_bs_ris = layout.bs_ris_distances()

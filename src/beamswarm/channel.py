@@ -182,7 +182,7 @@ def realize_channels(config, rng, layout=None):
     """
     if layout is None:
         layout = scenario.place_nodes(config, rng)
-    angles = scenario.draw_angles(layout, config, rng)
+    angles = scenario.draw_angles(config, rng)
 
     f_c = config.carrier_freq_ghz
     n_path = config.n_nlos_paths + 1

@@ -63,7 +63,8 @@ def _mrt_sinrs(h_sel, p, noise_variance):
     signal = p * energy
     # self-term cancellation is exact up to rounding; clamp the residue
     interference = np.maximum(received.sum(axis=2) - signal, 0.0)
-    return signal / (interference + noise_variance)
+    with np.errstate(over="ignore"):  # an overflow is an inf rate; optimize rejects it
+        return signal / (interference + noise_variance)
 
 
 def sum_rate(h_beam, selected, powers, sigma2):
@@ -127,8 +128,7 @@ class SumRateEvaluator:
         op = np.concatenate(blocks, axis=2)
         self.n_users = k
         self.n_antennas = n
-        self.total_uc = op.shape[2]
-        self._op = np.ascontiguousarray(op.reshape(k * n, self.total_uc))
+        self._op = np.ascontiguousarray(op.reshape(k * n, op.shape[2]))
 
     def beamspace_channels(self, phases):
         """Beamspace channel matrices for phase columns; shape (A, K, N)."""

@@ -9,7 +9,7 @@ the better of its two ring neighbors (indices wrap, self excluded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -53,7 +53,6 @@ class PsoConfig:
 class Solution:
     """Decoded form of one population column."""
 
-    beam_scores: np.ndarray
     beam_set: np.ndarray
     powers: np.ndarray
     phases: np.ndarray
@@ -66,20 +65,11 @@ class Swarm:
     population: np.ndarray  # (N_v, A)
     velocity: np.ndarray  # (N_v, A)
     quality: np.ndarray  # (A,)
-    n_antennas: int
-    n_users: int
-    n_uc: int
-    total_power: float
-    personal_best: np.ndarray = field(default=None, repr=False)
-    personal_best_value: np.ndarray = field(default=None, repr=False)
-    local_best: np.ndarray = field(default=None, repr=False)
-    local_best_value: np.ndarray = field(default=None, repr=False)
-    global_best: np.ndarray = field(default=None, repr=False)
-    global_best_value: float = -np.inf
-
-    @property
-    def n_particles(self):
-        return self.population.shape[1]
+    personal_best: np.ndarray  # (N_v, A)
+    personal_best_value: np.ndarray  # (A,)
+    local_best: np.ndarray  # (N_v, A), the better ring neighbor's personal best
+    global_best: np.ndarray  # (N_v,)
+    global_best_value: float
 
 
 def project_beams(column, n_antennas, rng=None):
@@ -146,36 +136,29 @@ def init_swarm(scenario, pso_cfg, rng):
         population=f,
         velocity=np.zeros((n_vars, a)),
         quality=np.full(a, -np.inf),
-        n_antennas=n,
-        n_users=k,
-        n_uc=m,
-        total_power=scenario.total_power,
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
         local_best=np.zeros((n_vars, a)),
-        local_best_value=np.full(a, -np.inf),
         global_best=np.zeros(n_vars),
         global_best_value=-np.inf,
     )
 
 
-def top_beam_indices(beam_scores, n_selected):
-    """Indices of the n_selected largest scores, ties to the lowest index.
+def top_beam_indices(scores, n_selected):
+    """Indices of the n_selected largest beam scores, ties to the lowest index.
 
-    ``beam_scores`` may be a vector or an (N, A) matrix; selection runs down
+    ``scores`` may be a vector or an (N, A) matrix; selection runs down
     axis 0 either way.
     """
-    order = np.argsort(-np.asarray(beam_scores), axis=0, kind="stable")
+    order = np.argsort(-np.asarray(scores), axis=0, kind="stable")
     return np.sort(order[:n_selected], axis=0)
 
 
 def decode(column, scenario):
     """Split one projected column into its Solution."""
     n, k = scenario.n_antennas, scenario.n_users
-    scores = column[:n].copy()
     return Solution(
-        beam_scores=scores,
-        beam_set=top_beam_indices(scores, scenario.n_selected_beams),
+        beam_set=top_beam_indices(column[:n], scenario.n_selected_beams),
         powers=column[n : n + k].copy(),
         phases=column[n + k :].copy(),
     )
@@ -185,24 +168,22 @@ def update_bests(swarm):
     """Refresh personal, global and ring-neighbor bests from the qualities."""
     q = swarm.quality
     improved = q > swarm.personal_best_value
-    if improved.any():
-        swarm.personal_best_value[improved] = q[improved]
-        swarm.personal_best[:, improved] = swarm.population[:, improved]
+    swarm.personal_best_value[improved] = q[improved]
+    swarm.personal_best[:, improved] = swarm.population[:, improved]
     lead = int(np.argmax(swarm.personal_best_value))
     if swarm.personal_best_value[lead] > swarm.global_best_value:
         swarm.global_best_value = float(swarm.personal_best_value[lead])
-        swarm.global_best = swarm.personal_best[:, lead].copy()
-    values, vectors = swarm.personal_best_value, swarm.personal_best
-    a = swarm.n_particles
+        swarm.global_best = swarm.personal_best[:, lead].copy()  # a view otherwise
+    values = swarm.personal_best_value
+    a = values.size
     left = np.roll(np.arange(a), 1)  # neighbor a-1
     right = np.roll(np.arange(a), -1)  # neighbor a+1
     pick = np.where(values[left] >= values[right], left, right)
-    swarm.local_best_value = values[pick].copy()
-    swarm.local_best = vectors[:, pick].copy()
+    swarm.local_best = swarm.personal_best[:, pick]  # fancy indexing copies
     return swarm
 
 
-def update_velocity_and_position(swarm, cfg, rng):
+def update_velocity_and_position(swarm, scenario, cfg, rng):
     """Inertia-plus-attraction velocity step, move, then re-project."""
     if not np.isfinite(swarm.global_best_value):
         raise ValueError("update_bests must run before the velocity update")
@@ -213,7 +194,9 @@ def update_velocity_and_position(swarm, cfg, rng):
     x += cfg.learn_global * rand_global * (swarm.global_best[:, None] - f)
     x += cfg.learn_local * rand_local * (swarm.local_best - f)
     f += x
-    constraints_check(f, swarm.n_antennas, swarm.n_users, swarm.total_power, rng)
+    constraints_check(
+        f, scenario.n_antennas, scenario.n_users, scenario.total_power, rng
+    )
     return swarm
 
 
@@ -224,7 +207,8 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
     n_iterations + 1 entries; index 0 is the best of the random
     initialization and the series is non-decreasing. ``callback(t, swarm)``,
     if given, fires after each evaluation (t = 0 .. n_iterations) with the
-    post-projection population.
+    post-projection population. Raises ValueError when the best sum rate is
+    not finite, e.g. when the power and noise levels overflow the SINR.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
@@ -246,22 +230,20 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
     sigma2 = scenario.noise_variance
 
     swarm = init_swarm(scenario, cfg, rng)
-
-    def evaluate():
+    trace = np.empty(cfg.n_iterations + 1)
+    for t in range(cfg.n_iterations + 1):
+        if t > 0:
+            update_velocity_and_position(swarm, scenario, cfg, rng)
         f = swarm.population
         idx = top_beam_indices(f[:n], n_sel)
         swarm.quality = evaluator.sum_rates(f[n + k :], idx, f[n : n + k], sigma2)
-
-    trace = np.empty(cfg.n_iterations + 1)
-    evaluate()
-    update_bests(swarm)
-    trace[0] = swarm.global_best_value
-    if callback is not None:
-        callback(0, swarm)
-    for t in range(1, cfg.n_iterations + 1):
-        update_velocity_and_position(swarm, cfg, rng)
-        evaluate()
         update_bests(swarm)
+        if not math.isfinite(swarm.global_best_value):
+            raise ValueError(
+                f"best sum rate is {swarm.global_best_value} at iteration {t}, "
+                "not finite: the SINR overflows or is undefined at these "
+                "power_dbm/noise_dbm levels"
+            )
         trace[t] = swarm.global_best_value
         if callback is not None:
             callback(t, swarm)

@@ -40,15 +40,19 @@ def _require_finite(name, value):
 
 
 def _level_to_watts(name, x_dbm):
-    """A finite dBm level in watts, rejecting levels whose watts overflow."""
+    """A finite dBm level in watts, rejecting levels whose watts overflow or
+    underflow to 0."""
     _require_finite(name, x_dbm)
     try:
         with np.errstate(over="raise"):  # numpy scalars overflow to inf otherwise
-            return dbm_to_watts(x_dbm)
+            watts = dbm_to_watts(x_dbm)
     except (OverflowError, FloatingPointError):
         raise ValueError(
             f"{name} is too large to express in watts (got {x_dbm!r})"
         ) from None
+    if watts == 0.0:
+        raise ValueError(f"{name} is too small to express in watts (got {x_dbm!r})")
+    return watts
 
 
 def even_split(m_total, n_ris):
@@ -271,7 +275,7 @@ class AngleDraws:
     ue_arrival: np.ndarray  # (J, K, N_p+1), U(-pi, pi)
 
 
-def draw_angles(layout, config, rng):
+def draw_angles(config, rng):
     """Draw all path angles for one realization.
 
     Angles seen at a surface are restricted to its front half-space

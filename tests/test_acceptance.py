@@ -86,7 +86,7 @@ def _tiny_runs():
         )
         top = int(np.argmax(grid))
         # cross-check the winning cell against the plain one-solution path
-        winner = Solution(beam_scores=np.zeros(4), beam_set=beam_sets[:, top],
+        winner = Solution(beam_set=beam_sets[:, top],
                           powers=powers[:, top], phases=phases[:, top])
         assert evaluate_solution(
             channels, winner, scenario.noise_variance

@@ -60,6 +60,19 @@ class TestErrors:
         assert err.startswith("error: ValueError:")
         assert err.count("\n") == 1  # single line, trailing newline only
 
+    def test_non_finite_rate_exit_2(self, capsys):
+        code, out, err = _run(
+            ["trial", "--n-users", "1", "--n-selected-beams", "1",
+             "--power-dbm", "300", "--noise-dbm", "-3000", "--n-antennas", "8",
+             "--m-total", "8", "--n-ris", "2", "--particles", "5",
+             "--iterations", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError: best sum rate is inf")
+        assert err.count("\n") == 1  # no RuntimeWarning ahead of the error line
+
     def test_missing_config_file(self, capsys):
         code, _, err = _run(
             ["trial", "--config", "/nonexistent/config.json"], capsys

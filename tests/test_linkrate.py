@@ -346,7 +346,6 @@ def _solution_for(cfg, rng):
     powers = rng.random(k)
     powers *= cfg.total_power / powers.sum()
     return Solution(
-        beam_scores=scores,
         beam_set=np.sort(order),
         powers=powers,
         phases=rng.uniform(0, 2 * np.pi, m),
@@ -359,7 +358,6 @@ class TestEvaluateSolution:
                           n_selected_beams=8)
         ch = realize_channels(cfg, derive_stream(0, 1))
         sol = Solution(
-            beam_scores=np.ones(8),
             beam_set=np.arange(8),
             powers=np.full(2, cfg.total_power / 2),
             phases=np.zeros(4),
@@ -417,8 +415,7 @@ class TestEvaluateSolution:
             tuple(g[:, perm] for g in ch.ris_ue),
             ch.dft_matrix,
         )
-        sol_perm = Solution(sol.beam_scores, sol.beam_set, sol.powers[perm],
-                            sol.phases)
+        sol_perm = Solution(sol.beam_set, sol.powers[perm], sol.phases)
         h = to_beamspace(cascaded_spatial(ch, sol.phases), ch.dft_matrix)
         h_perm = to_beamspace(cascaded_spatial(permuted, sol.phases), ch.dft_matrix)
         r = sum_rate(h, sol.beam_set, sol.powers, cfg.noise_variance)
@@ -448,7 +445,6 @@ class TestSumRateEvaluator:
         got = ev.sum_rates(phases, beam_sets, powers, cfg.noise_variance)
         for a in range(batch):
             sol = Solution(
-                beam_scores=np.zeros(8),
                 beam_set=beam_sets[:, a],
                 powers=powers[:, a],
                 phases=phases[:, a],

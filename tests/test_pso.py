@@ -196,10 +196,8 @@ class TestTopBeamsAndDecode:
         assert sol.phases == pytest.approx([1.0, 2.0, 3.0, 4.0])
         blocks = split_phases(sol.phases, cfg.uc_per_ris)
         assert [list(b) for b in blocks] == [[1.0, 2.0], [3.0, 4.0]]
-        # the decoded pieces reassemble the encoded column
-        assert np.concatenate([sol.beam_scores, sol.powers, sol.phases]) == (
-            pytest.approx(column)
-        )
+        # the decoded pieces reassemble the tail of the encoded column
+        assert np.concatenate([sol.powers, sol.phases]) == pytest.approx(column[4:])
 
     def test_decode_tie(self):
         cfg = make_config(n_antennas=3, n_users=1, n_ris=1, m_total=2,
@@ -214,14 +212,9 @@ def _toy_swarm(population, quality):
         population=population.astype(float),
         velocity=np.zeros((n_vars, a)),
         quality=np.asarray(quality, dtype=float),
-        n_antennas=1,
-        n_users=1,
-        n_uc=n_vars - 2,
-        total_power=1.0,
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
         local_best=np.zeros((n_vars, a)),
-        local_best_value=np.full(a, -np.inf),
         global_best=np.zeros(n_vars),
         global_best_value=-np.inf,
     )
@@ -240,22 +233,41 @@ class TestUpdateBests:
         swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
         update_bests(swarm)
         # particle 0's neighbors are particles 2 and 1; 9 beats 7
-        assert swarm.local_best_value[0] == 9.0
-        assert swarm.local_best[:, 0] == pytest.approx(pop[:, 1])
+        assert np.array_equal(swarm.local_best[:, 0], pop[:, 1])
         # particle 1's neighbors are particles 0 and 2; 7 beats 5
-        assert swarm.local_best_value[1] == 7.0
+        assert np.array_equal(swarm.local_best[:, 1], pop[:, 2])
         # particle 2's neighbors are particles 1 and 0; 9 beats 5
-        assert swarm.local_best_value[2] == 9.0
+        assert np.array_equal(swarm.local_best[:, 2], pop[:, 1])
+
+    def test_tie_picks_left_neighbor(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 1.0, 5.0])
+        update_bests(swarm)
+        # particle 1's neighbors 0 and 2 tie at 5; the left one wins
+        assert np.array_equal(swarm.local_best[:, 1], pop[:, 0])
 
     def test_monotone_retention_on_drop(self):
         pop = np.arange(9.0).reshape(3, 3)
         swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
         update_bests(swarm)
+        swarm.population = pop + 100.0
         swarm.quality = np.array([1.0, 2.0, 3.0])
         update_bests(swarm)
         assert swarm.global_best_value == 9.0
+        assert np.array_equal(swarm.global_best, pop[:, 1])
         # best-ever memory keeps the old neighbor peaks too
-        assert swarm.local_best_value[0] == 9.0
+        assert np.array_equal(swarm.local_best[:, 0], pop[:, 1])
+        assert np.array_equal(swarm.local_best[:, 1], pop[:, 2])
+
+    def test_bests_do_not_alias_population_or_personal_best(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
+        update_bests(swarm)
+        local, best = swarm.local_best.copy(), swarm.global_best.copy()
+        swarm.population += 50.0
+        swarm.personal_best += 50.0
+        assert np.array_equal(swarm.local_best, local)
+        assert np.array_equal(swarm.global_best, best)
 
 
 class _OnesRng:
@@ -271,8 +283,10 @@ class TestVelocityUpdate:
         swarm.global_best = np.full(3, 1.2)
         swarm.local_best = np.full((3, 3), 0.7)
         swarm.global_best_value = 1.0
+        scenario = make_config(n_antennas=1, n_users=1, n_ris=1, m_total=1,
+                               n_selected_beams=1)
         cfg = PsoConfig(inertia=0.05, learn_global=2.0, learn_local=2.0)
-        update_velocity_and_position(swarm, cfg, _OnesRng())
+        update_velocity_and_position(swarm, scenario, cfg, _OnesRng())
         assert np.all(swarm.velocity == 3.0)
 
     def test_stationary_at_consensus(self):
@@ -286,7 +300,7 @@ class TestVelocityUpdate:
         swarm.global_best = column.copy()
         swarm.local_best = np.tile(column[:, None], (1, 3))
         swarm.global_best_value = 1.0
-        update_velocity_and_position(swarm, pcfg, rng)
+        update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(
             np.tile(column[:, None], (1, 3)), rel=1e-12
         )
@@ -302,7 +316,7 @@ class TestVelocityUpdate:
         swarm.global_best = swarm.population[:, 0].copy()
         swarm.local_best = swarm.population.copy()
         swarm.global_best_value = 1.0
-        update_velocity_and_position(swarm, pcfg, rng)
+        update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(before, rel=1e-12)
 
     def test_requires_bests(self):
@@ -312,7 +326,7 @@ class TestVelocityUpdate:
         rng = np.random.default_rng(7)
         swarm = init_swarm(cfg, pcfg, rng)
         with pytest.raises(ValueError, match="update_bests"):
-            update_velocity_and_position(swarm, pcfg, rng)
+            update_velocity_and_position(swarm, cfg, pcfg, rng)
 
 
 def _small_setup(seed=0):
@@ -372,4 +386,15 @@ class TestOptimize:
         wrong = dataclasses.replace(cfg, n_antennas=16, n_selected_beams=4)
         with pytest.raises(ValueError, match="do not match"):
             optimize(channels, wrong, PsoConfig(n_particles=4, n_iterations=2))
+
+    def test_non_finite_rate_rejected(self):
+        # 1e27 W over 1e-303 W noise overflows the SINR of a lone user
+        cfg = make_config(n_antennas=8, n_users=1, n_ris=2, m_total=8,
+                          n_selected_beams=1, power_dbm=300, noise_dbm=-3000)
+        channels = realize_channels(cfg, derive_stream(0, 0))
+        pcfg = PsoConfig(n_particles=5, n_iterations=2)
+        with pytest.raises(
+            ValueError, match=r"inf at iteration 0, not finite.*power_dbm/noise_dbm"
+        ):
+            optimize(channels, cfg, pcfg, derive_stream(0, 1))
 

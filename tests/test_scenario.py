@@ -109,6 +109,9 @@ class TestScenarioConfig:
             ({"power_dbm": 4000.0}, "power_dbm"),
             ({"noise_dbm": 3200}, "noise_dbm"),
             ({"power_dbm": np.float64(4000.0)}, "power_dbm"),
+            ({"noise_dbm": -4000.0}, "noise_dbm"),
+            ({"power_dbm": -4000}, "power_dbm"),
+            ({"noise_dbm": np.float64(-4000.0)}, "noise_dbm"),
         ],
     )
     def test_rejects_non_integral_and_non_finite(self, kwargs, field):
@@ -226,8 +229,7 @@ class TestAngles:
 
     def test_draw_angles_shapes(self):
         cfg = make_config()
-        layout = place_nodes(cfg, np.random.default_rng(0))
-        angles = draw_angles(layout, cfg, np.random.default_rng(1))
+        angles = draw_angles(cfg, np.random.default_rng(1))
         assert isinstance(angles, AngleDraws)
         assert angles.bs_departure.shape == (8, 3)
         assert angles.ris_arrival.shape == (8, 3)
@@ -236,30 +238,27 @@ class TestAngles:
 
     def test_los_only_single_angle(self):
         cfg = make_config(n_nlos_paths=0)
-        layout = place_nodes(cfg, np.random.default_rng(0))
-        angles = draw_angles(layout, cfg, np.random.default_rng(1))
+        angles = draw_angles(cfg, np.random.default_rng(1))
         assert angles.bs_departure.shape == (8, 1)
         assert angles.ris_departure.shape == (8, 8, 1)
 
     def test_angle_supports(self):
         cfg = make_config(n_users=2, n_selected_beams=8)
-        layout = place_nodes(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(4)
         arrivals = np.concatenate(
-            [draw_angles(layout, cfg, rng).ris_arrival.ravel() for _ in range(5000)]
+            [draw_angles(cfg, rng).ris_arrival.ravel() for _ in range(5000)]
         )
         assert arrivals.size >= 100_000
         assert np.all(np.abs(arrivals) < np.pi / 2)
-        one = draw_angles(layout, cfg, np.random.default_rng(5))
+        one = draw_angles(cfg, np.random.default_rng(5))
         assert np.all(np.abs(one.ris_departure) < np.pi / 2)
         assert np.all(np.abs(one.bs_departure) < np.pi)
         assert np.all(np.abs(one.ue_arrival) < np.pi)
 
     def test_determinism(self):
         cfg = make_config()
-        layout = place_nodes(cfg, np.random.default_rng(0))
-        a = draw_angles(layout, cfg, np.random.default_rng(9))
-        b = draw_angles(layout, cfg, np.random.default_rng(9))
+        a = draw_angles(cfg, np.random.default_rng(9))
+        b = draw_angles(cfg, np.random.default_rng(9))
         assert np.array_equal(a.bs_departure, b.bs_departure)
         assert np.array_equal(a.ris_departure, b.ris_departure)
 
