@@ -21,7 +21,6 @@ from .harness import (
     iterations_to_fraction,
     run_sweep,
     run_trial,
-    summary_path_for,
 )
 from .pso import PsoConfig
 from .scenario import make_config
@@ -167,14 +166,13 @@ def _make_spec(args):
 def _cmd_sweep(args):
     spec = _make_spec(args)
     result = run_sweep(spec, jobs=args.jobs)
-    out = args.out or "sweep.csv"
-    emit_csv(result, out)
+    detail, summary = emit_csv(result, args.out or "sweep.csv")
     for i, value in enumerate(result.sweep_values):
         print(
             f"{spec.sweep_param}={value} mean_bps_hz={result.means[i]:.9g} "
             f"stderr={result.stderrs[i]:.9g} n_trials={result.n_trials}"
         )
-    print(f"wrote {out} and {summary_path_for(out)}")
+    print(f"wrote {detail} and {summary}")
     return 0
 
 

@@ -31,19 +31,21 @@ def validate_beam_set(selected, n_antennas):
     negative index is rejected rather than wrapped.
     """
     sel = np.asarray(selected)
-    if sel.ndim != 1 or sel.dtype.kind not in "iu":
-        raise ValueError(
-            f"beam indices must be a 1-D integer array "
-            f"(got dtype {sel.dtype}, shape {sel.shape})"
-        )
-    idx = np.unique(sel)
-    if idx.size != sel.size:
-        raise ValueError(f"beam indices must be unique (got {sel.tolist()})")
-    if idx.size and (idx[0] < 0 or idx[-1] >= n_antennas):
-        raise ValueError(
-            f"beam indices must lie in [0, {n_antennas}) (got {sel.tolist()})"
-        )
-    return idx
+    if sel.ndim != 1:
+        raise ValueError(f"a beam set must be 1-D (got shape {sel.shape})")
+    return _sorted_beam_sets(sel[:, None], n_antennas)[:, 0]
+
+
+def _sorted_beam_sets(beam_sets, n_antennas):
+    """Check (N_s, A) beam sets, one per column, and sort them down axis 0."""
+    if beam_sets.dtype.kind not in "iu":
+        raise ValueError(f"beam indices must be integers (got dtype {beam_sets.dtype})")
+    ordered = np.sort(beam_sets, axis=0)
+    if ordered.size and (ordered[0].min() < 0 or ordered[-1].max() >= n_antennas):
+        raise ValueError(f"beam indices must lie in [0, {n_antennas})")
+    if (np.diff(ordered, axis=0) == 0).any():
+        raise ValueError("beam indices must be unique within each beam set")
+    return ordered
 
 
 def _mrt_sinrs(h_sel, p, noise_variance):
@@ -63,7 +65,7 @@ def _mrt_sinrs(h_sel, p, noise_variance):
     signal = p * energy
     # self-term cancellation is exact up to rounding; clamp the residue
     interference = np.maximum(received.sum(axis=2) - signal, 0.0)
-    with np.errstate(over="ignore"):  # an overflow is an inf rate; optimize rejects it
+    with np.errstate(over="ignore"):  # an inf SINR; sum_rate and optimize reject it
         return signal / (interference + noise_variance)
 
 
@@ -73,6 +75,7 @@ def sum_rate(h_beam, selected, powers, sigma2):
     ``h_beam`` is the (N, K) beamspace channel with one column per user;
     ``selected`` the beam indices (see :func:`validate_beam_set`);
     ``powers`` the per-user transmit powers in watts, finite and >= 0.
+    Raises ValueError when an SINR overflows at these powers and ``sigma2``.
     """
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError(f"sigma2 must be finite and > 0 (got {sigma2})")
@@ -88,6 +91,11 @@ def sum_rate(h_beam, selected, powers, sigma2):
         raise ValueError(f"powers must be finite and >= 0 (got {powers.tolist()})")
     idx = validate_beam_set(selected, n)
     sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2)[0]
+    if not np.isfinite(sinr).all():
+        raise ValueError(
+            f"SINR is not finite (got {sinr.tolist()}): it overflows at these "
+            f"powers and sigma2={sigma2}"
+        )
     rates = np.log1p(sinr) / _LN2
     return RateReport(
         per_ue_sinr=sinr,
@@ -110,46 +118,109 @@ def evaluate_solution(channels, sol, noise_variance):
     return sum_rate(h_beam, sol.beam_set, sol.powers, noise_variance).sum_rate
 
 
+def _low_rank(c):
+    """Split ``c`` (N, M) into an (N, r) basis and (r, M) coefficients.
+
+    Pivoted Gram-Schmidt: each step takes the residual column of largest
+    norm as the next basis direction and removes its projection, so
+    ``c = basis @ coef + residual`` holds term by term. It stops once the
+    residual's norm is at most ``max(N, M) * eps * ||c||`` (Frobenius
+    norms; ``numpy.linalg.matrix_rank`` uses this tolerance on the singular
+    values), or at r = min(N, M). An all-zero ``c`` gives r = 0.
+    """
+    res = np.array(c, dtype=complex)
+    tol = max(c.shape) * np.finfo(float).eps * np.linalg.norm(c)
+    basis, coef = [], []
+    while len(basis) < min(c.shape):
+        norms = (res.real**2 + res.imag**2).sum(axis=0)
+        if norms.sum() <= tol**2:
+            break
+        pivot = int(np.argmax(norms))
+        q = res[:, pivot] / np.sqrt(norms[pivot])
+        row = q.conj() @ res
+        res -= np.outer(q, row)
+        basis.append(q)
+        coef.append(row)
+    n, m = c.shape
+    return np.array(basis).reshape(-1, n).T, np.array(coef).reshape(-1, m)
+
+
 class SumRateEvaluator:
     """Batched sum-rate evaluation against one fixed channel realization.
 
-    Precomputes, per user, the linear map from unit-cell reflection
-    coefficients to the beamspace channel vector, so scoring a batch of
-    candidates reduces to one matrix product plus O(K^2 N_s) work per
-    candidate. Results match :func:`evaluate_solution` to rounding.
+    Surface j reaches the beams through ``U C_j diag(exp(1j*phi_j)) G_j``,
+    and ``C_j`` has small rank r_j (at most one per propagation path). The
+    build factors ``C_j = B_j Q_j`` at its numerical rank (see
+    :func:`_low_rank`), so ``U C_j = P_j Q_j`` with ``P_j = U B_j``, and
+    folds ``G_j`` into ``W_j[(r, k), m] = Q_j[r, m] G_j[m, k]``. Scoring a
+    candidate then costs ``sum_j K r_j M_j`` for ``z_j = W_j
+    exp(1j*phi_j)`` plus ``K N_s sum_j r_j`` to combine it with the rows of
+    ``P`` at the selected beams; the beams that are not selected are never
+    formed. At full rank the same path is exact. Results match
+    :func:`evaluate_solution` to rounding.
     """
 
     def __init__(self, channels):
-        k, n = channels.n_users, channels.n_antennas
-        blocks = []
+        rows = []
+        self._surfaces = []  # (W_j, slice of surface j's phases)
+        end = 0
         for c, g in zip(channels.bs_ris, channels.ris_ue):
-            b = channels.dft_matrix @ c  # (N, M_j)
-            blocks.append(b[None, :, :] * g.T[:, None, :])  # (K, N, M_j)
-        op = np.concatenate(blocks, axis=2)
-        self.n_users = k
-        self.n_antennas = n
-        self._op = np.ascontiguousarray(op.reshape(k * n, op.shape[2]))
+            basis, coef = _low_rank(c)
+            rows.append(channels.dft_matrix @ basis)  # P_j, (N, r_j)
+            w = (coef[:, None, :] * g.T).reshape(-1, g.shape[0])  # W_j, (r_j K, M_j)
+            self._surfaces.append((w, slice(end, end + g.shape[0])))
+            end += g.shape[0]
+        self.n_users = channels.n_users
+        self.n_antennas = channels.n_antennas
+        self.total_uc = end
+        self._op = np.concatenate(rows, axis=1)  # P = [P_1 ... P_J], (N, R)
 
-    def beamspace_channels(self, phases):
-        """Beamspace channel matrices for phase columns; shape (A, K, N)."""
-        phases = np.asarray(phases, dtype=float)
-        if phases.ndim == 1:
-            phases = phases[:, None]
+    def beamspace_channels(self, phases, beam_sets):
+        """Selected-beam channels of a batch; shape (A, K, N_s).
+
+        ``phases`` is (M, A) and ``beam_sets`` (N_s, A) beam indices; entry
+        [a, k, s] is user k's channel on beam ``beam_sets[s, a]``.
+        """
         v = np.exp(1j * phases)
-        h_flat = self._op @ v  # (K*N, A)
-        n_batch = h_flat.shape[1]
-        return h_flat.reshape(self.n_users, self.n_antennas, n_batch).transpose(2, 0, 1)
+        # rows of z run over (surface j, rank r, user k)
+        z = np.concatenate([w @ v[cells] for w, cells in self._surfaces])
+        z = z.reshape(-1, self.n_users, v.shape[1]).transpose(2, 1, 0)  # (A, K, R)
+        return z @ self._op[beam_sets.T].transpose(0, 2, 1)  # (A, R, N_s)
 
     def sum_rates(self, phases, beam_sets, powers, noise_variance):
         """Sum rates for a batch of candidates, one column per candidate.
 
-        ``phases`` is (M, A), ``beam_sets`` (N_s, A) integer beam indices,
-        ``powers`` (K, A). Returns a length-A vector of sum rates.
+        ``phases`` is (M, A) finite radians, ``beam_sets`` (N_s, A) integer
+        beam indices, unique per column and in [0, N), ``powers`` (K, A)
+        finite watts >= 0. Returns a length-A vector of sum rates; the order
+        of the beams within a column does not change them.
         """
-        if noise_variance <= 0.0:
-            raise ValueError(f"noise_variance must be > 0 (got {noise_variance})")
-        h = self.beamspace_channels(phases)  # (A, K, N)
-        idx = np.asarray(beam_sets, dtype=int).T  # (A, N_s)
-        h_sel = np.take_along_axis(h, idx[:, None, :], axis=2)  # (A, K, N_s)
-        p = np.asarray(powers, dtype=float).T  # (A, K)
-        return np.log1p(_mrt_sinrs(h_sel, p, noise_variance)).sum(axis=1) / _LN2
+        if not (math.isfinite(noise_variance) and noise_variance > 0.0):
+            raise ValueError(
+                f"noise_variance must be finite and > 0 (got {noise_variance})"
+            )
+        phases = np.asarray(phases, dtype=float)
+        beam_sets = np.asarray(beam_sets)
+        powers = np.asarray(powers, dtype=float)
+        if phases.ndim != 2 or phases.shape[0] != self.total_uc:
+            raise ValueError(
+                f"phases must be (M, A) with M={self.total_uc} "
+                f"(got shape {phases.shape})"
+            )
+        a = phases.shape[1]
+        if beam_sets.ndim != 2 or beam_sets.shape[1] != a:
+            raise ValueError(
+                f"beam_sets must be (N_s, A) with A={a} (got shape {beam_sets.shape})"
+            )
+        if powers.shape != (self.n_users, a):
+            raise ValueError(
+                f"powers must be (K, A) = ({self.n_users}, {a}) "
+                f"(got shape {powers.shape})"
+            )
+        if not np.isfinite(phases).all():
+            raise ValueError("phases must be finite")
+        if not (np.isfinite(powers).all() and (powers >= 0.0).all()):
+            raise ValueError("powers must be finite and >= 0")
+        beam_sets = _sorted_beam_sets(beam_sets, self.n_antennas)
+        h_sel = self.beamspace_channels(phases, beam_sets)  # (A, K, N_s)
+        return np.log1p(_mrt_sinrs(h_sel, powers.T, noise_variance)).sum(axis=1) / _LN2

@@ -212,6 +212,13 @@ class TestSweep:
         ]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_wrote_line_names_the_written_paths(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = _run(_sweep_argv("./s.csv"), capsys)
+        assert code == 0
+        assert stdout.splitlines()[-1] == "wrote s.csv and s_summary.csv"
+        assert (tmp_path / "s.csv").exists() and (tmp_path / "s_summary.csv").exists()
+
     def test_default_values_are_feasible(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--particles", "3", "--iterations", "1", "--trials", "1",
@@ -246,6 +253,13 @@ class TestConvergence:
         text = out.read_text(encoding="utf-8").splitlines()
         assert text[0] == "sweep_value,iteration,mean_best_rate"
         assert len(text) == 1 + 4 + 7
+
+    def test_wrote_line_names_the_written_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = _run(_convergence_argv("./c.csv"), capsys)
+        assert code == 0
+        assert stdout.splitlines()[-1] == "wrote c.csv"
+        assert (tmp_path / "c.csv").exists()
 
     def test_byte_identical_across_runs_and_jobs(self, capsys, tmp_path):
         paths = [tmp_path / f"c{i}.csv" for i in range(3)]

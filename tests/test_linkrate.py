@@ -258,6 +258,10 @@ class TestBoundary:
         with pytest.raises(ValueError, match="one entry per user"):
             sum_rate(h, [0, 1], np.ones(3), 1e-3)
 
+    def test_rejects_overflowing_sinr(self):
+        with pytest.raises(ValueError, match="powers and sigma2"):
+            sum_rate(np.array([[1e-6 + 0j], [0j]]), [0], [1e27], 1e-303)
+
 
 class TestSumRate:
     def test_zero_powers(self):
@@ -458,7 +462,7 @@ class TestSumRateEvaluator:
         ch = realize_channels(cfg, derive_stream(9, 1))
         ev = SumRateEvaluator(ch)
         phases = derive_stream(10, 1).uniform(0, 2 * np.pi, 6)
-        h = ev.beamspace_channels(phases)[0]  # (K, N)
+        h = ev.beamspace_channels(phases[:, None], np.arange(8)[:, None])[0]  # (K, N)
         want = to_beamspace(cascaded_spatial(ch, phases), ch.dft_matrix)
         assert h.T == pytest.approx(want, rel=1e-10)
 
@@ -487,3 +491,117 @@ class TestSumRateEvaluator:
         with pytest.raises(ValueError, match="noise_variance"):
             ev.sum_rates(np.zeros((2, 1)), np.array([[0], [1]]),
                          np.ones((2, 1)), -1.0)
+
+
+def _zero_surface():
+    """Two surfaces, the first with an all-zero BS-RIS matrix (rank 0)."""
+    cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
+                      n_selected_beams=4)
+    ch = realize_channels(cfg, derive_stream(12, 1))
+    zero = np.zeros_like(ch.bs_ris[0])
+    return cfg, ChannelSet((zero, ch.bs_ris[1]), ch.ris_ue, ch.dft_matrix)
+
+
+def _realized(**kwargs):
+    cfg = make_config(**kwargs)
+    return cfg, realize_channels(cfg, derive_stream(13, 1))
+
+
+FACTOR_CASES = {
+    "defaults": lambda: _realized(),
+    "m1024": lambda: _realized(m_total=1024),
+    "uneven": lambda: _realized(n_ris=3, uc_per_ris=(5, 9, 2)),
+    # 7 paths on 4-cell surfaces: every C_j has full rank min(N, M_j) = 4
+    "full_rank": lambda: _realized(n_antennas=8, n_users=3, n_ris=2, m_total=8,
+                                   n_nlos_paths=6, n_selected_beams=4),
+    "rank_zero_surface": _zero_surface,
+}
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
+def test_factored_evaluator_matches_evaluate_solution(case):
+    cfg, ch = FACTOR_CASES[case]()
+    ev = SumRateEvaluator(ch)
+    ranks = [np.linalg.matrix_rank(c) for c in ch.bs_ris]
+    assert ev._op.shape == (cfg.n_antennas, sum(ranks))
+    if case == "full_rank":
+        assert ranks == [min(c.shape) for c in ch.bs_ris]
+    rng = derive_stream(14, 1)
+    batch = 12
+    phases = rng.uniform(0, 2 * np.pi, (cfg.total_uc, batch))
+    beam_sets = np.stack(
+        [np.sort(rng.choice(cfg.n_antennas, size=cfg.n_selected_beams,
+                            replace=False)) for _ in range(batch)],
+        axis=1,
+    )
+    powers = rng.random((cfg.n_users, batch)) * cfg.total_power / cfg.n_users
+    got = ev.sum_rates(phases, beam_sets, powers, cfg.noise_variance)
+    for a in range(batch):
+        sol = Solution(beam_set=beam_sets[:, a], powers=powers[:, a],
+                       phases=phases[:, a])
+        want = evaluate_solution(ch, sol, cfg.noise_variance)
+        assert got[a] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _bad_batch(name, phases, beam_sets, powers):
+    """Break one input of a valid (N=8, K=3, M=10, N_s=4, A=5) batch."""
+    if name == "phases_1d":
+        phases = phases[:, 0]
+    elif name == "phases_rows":
+        phases = phases[1:]
+    elif name == "phases_nan":
+        phases[3, 2] = np.nan
+    elif name == "beams_float":
+        beam_sets = beam_sets.astype(float)
+    elif name == "beams_columns":
+        beam_sets = beam_sets[:, 1:]
+    elif name == "beams_negative":
+        beam_sets[0, 1] = -7  # would wrap to beam 1
+    elif name == "beams_too_large":
+        beam_sets[-1, 4] = 8
+    elif name == "beams_duplicate":
+        beam_sets[1, 3] = beam_sets[2, 3]
+    elif name == "powers_row":
+        powers = powers[:1]  # (1, A) would broadcast to every user
+    elif name == "powers_column":
+        powers = powers[:, :1]
+    elif name in ("powers_negative", "powers_nan", "powers_inf"):
+        powers[2, 0] = {"powers_negative": -1.0, "powers_nan": np.nan,
+                        "powers_inf": np.inf}[name]
+    return phases, beam_sets, powers
+
+
+@pytest.mark.parametrize(
+    "name, match",
+    [
+        ("phases_1d", r"phases must be \(M, A\)"),
+        ("phases_rows", r"phases must be \(M, A\)"),
+        ("phases_nan", "phases must be finite"),
+        ("beams_float", "integer"),
+        ("beams_columns", r"\(N_s, A\)"),
+        ("beams_negative", r"lie in \[0, 8\)"),
+        ("beams_too_large", r"lie in \[0, 8\)"),
+        ("beams_duplicate", "unique"),
+        ("powers_row", r"powers must be \(K, A\)"),
+        ("powers_column", r"powers must be \(K, A\)"),
+        ("powers_negative", "finite and >= 0"),
+        ("powers_nan", "finite and >= 0"),
+        ("powers_inf", "finite and >= 0"),
+        ("noise_nan", "noise_variance"),
+        ("noise_zero", "noise_variance"),
+    ],
+)
+def test_sum_rates_rejects_bad_batches(name, match):
+    cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
+                      n_selected_beams=4)
+    ev = SumRateEvaluator(realize_channels(cfg, derive_stream(15, 1)))
+    rng = derive_stream(16, 1)
+    phases = rng.uniform(0, 2 * np.pi, (10, 5))
+    beam_sets = np.stack([np.sort(rng.choice(8, size=4, replace=False))
+                          for _ in range(5)], axis=1)
+    powers = rng.random((3, 5))
+    ev.sum_rates(phases, beam_sets, powers, cfg.noise_variance)  # valid as built
+    noise = {"noise_nan": np.nan, "noise_zero": 0.0}.get(name, cfg.noise_variance)
+    args = _bad_batch(name, phases, beam_sets, powers)
+    with pytest.raises(ValueError, match=match):
+        ev.sum_rates(*args, noise)
