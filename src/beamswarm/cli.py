@@ -147,8 +147,7 @@ def _cmd_trial(args):
         f"random_baseline_bps_hz={baseline:.9g} iterations={trace.size - 1}"
     )
     if args.out:
-        emit_trace_csv(trace, args.out)
-        print(f"wrote {args.out}")
+        print(f"wrote {emit_trace_csv(trace, args.out)}")
     return 0
 
 

@@ -130,10 +130,11 @@ def _run_tasks(tasks, jobs):
     _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (got {jobs})")
-    if jobs == 1:
+    workers = min(jobs, len(tasks))  # a pool never starts idle workers
+    if workers <= 1:
         return [_trial_trace(task) for task in tasks]
     # map() preserves submission order, so aggregation ignores completion order
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_trace, tasks))
 
 

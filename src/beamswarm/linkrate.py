@@ -14,6 +14,63 @@ import numpy as np
 
 _LN2 = np.log(2.0)
 
+# largest |phase| that sum_rates accepts; _unit_phasors keeps 1e-15 up to here
+_PHASE_BOUND = 2.0**20
+
+# exp(1j*phi) = table[k mod 2^10] * exp(1j*b) with phi = k*step + b and
+# |b| <= step/2, step = 2*pi/2^10. The step is split Cody-Waite style: HI
+# keeps 25 bits of 2*pi, so k*_STEP_HI is exact for |k| < 2^28 (any |phi|
+# <= _PHASE_BOUND), and _STEP_LO carries the rest of 2*pi, including the
+# tail 2*pi - fl(2*pi) that a double cannot hold.
+_TABLE_SIZE = 1 << 10
+_TWO_PI_HI = math.ldexp(round(math.ldexp(2.0 * math.pi, 22)), -22)
+_STEP_HI = _TWO_PI_HI / _TABLE_SIZE
+_STEP_LO = ((2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16) / _TABLE_SIZE
+_STEPS_PER_RAD = _TABLE_SIZE / (2.0 * math.pi)
+_TABLE = np.exp(1j * (np.arange(_TABLE_SIZE) * _STEP_HI)) * np.exp(
+    1j * (np.arange(_TABLE_SIZE) * _STEP_LO)
+)
+
+
+def _unit_phasors(phases):
+    """exp(1j * phases) for finite |phases| <= _PHASE_BOUND, to 1e-15.
+
+    A table lookup times a short Taylor series in the remainder b, with
+    |b| <= pi/2^10: cos to b^4 and sin to b^5 leave errors below 1e-17.
+    The steps reuse their buffers, so at its peak it holds the complex
+    result and three real arrays the size of ``phases``: one real array
+    more than ``np.exp(1j * phases)`` holds.
+    """
+    k = np.multiply(phases, _STEPS_PER_RAD)
+    np.rint(k, out=k)
+    idx = k.astype(np.intp)
+    idx &= _TABLE_SIZE - 1
+    out = np.take(_TABLE, idx)
+    b = idx.view(np.float64)  # the indices are spent; reuse their buffer
+    np.multiply(k, _STEP_HI, out=b)
+    np.subtract(phases, b, out=b)
+    k *= _STEP_LO
+    b -= k
+    b2 = np.multiply(b, b, out=k)
+    sin = b2 * (1.0 / 120.0)
+    sin -= 1.0 / 6.0
+    sin *= b2
+    sin *= b
+    sin += b
+    cos = np.multiply(b2, 1.0 / 24.0, out=b)
+    cos -= 0.5
+    cos *= b2
+    cos += 1.0
+    # out *= cos + 1j*sin, one real part at a time
+    re, im = out.real, out.imag
+    im_sin = np.multiply(im, sin, out=b2)
+    sin *= re
+    im *= cos
+    im += sin
+    re *= cos
+    re -= im_sin
+    return out
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -181,7 +238,7 @@ class SumRateEvaluator:
         ``phases`` is (M, A) and ``beam_sets`` (N_s, A) beam indices; entry
         [a, k, s] is user k's channel on beam ``beam_sets[s, a]``.
         """
-        v = np.exp(1j * phases)
+        v = _unit_phasors(phases)
         # rows of z run over (surface j, rank r, user k)
         z = np.concatenate([w @ v[cells] for w, cells in self._surfaces])
         z = z.reshape(-1, self.n_users, v.shape[1]).transpose(2, 1, 0)  # (A, K, R)
@@ -190,10 +247,11 @@ class SumRateEvaluator:
     def sum_rates(self, phases, beam_sets, powers, noise_variance):
         """Sum rates for a batch of candidates, one column per candidate.
 
-        ``phases`` is (M, A) finite radians, ``beam_sets`` (N_s, A) integer
-        beam indices, unique per column and in [0, N), ``powers`` (K, A)
-        finite watts >= 0. Returns a length-A vector of sum rates; the order
-        of the beams within a column does not change them.
+        ``phases`` is (M, A) finite radians with |phase| <= 2^20,
+        ``beam_sets`` (N_s, A) integer beam indices, unique per column and
+        in [0, N), ``powers`` (K, A) finite watts >= 0. Returns a length-A
+        vector of sum rates; the order of the beams within a column does
+        not change them.
         """
         if not (math.isfinite(noise_variance) and noise_variance > 0.0):
             raise ValueError(
@@ -217,8 +275,10 @@ class SumRateEvaluator:
                 f"powers must be (K, A) = ({self.n_users}, {a}) "
                 f"(got shape {powers.shape})"
             )
-        if not np.isfinite(phases).all():
-            raise ValueError("phases must be finite")
+        # NaN fails both comparisons
+        if not (-_PHASE_BOUND <= phases.min(initial=0.0)
+                and phases.max(initial=0.0) <= _PHASE_BOUND):
+            raise ValueError("phases must be finite with |phase| <= 2^20 rad")
         if not (np.isfinite(powers).all() and (powers >= 0.0).all()):
             raise ValueError("powers must be finite and >= 0")
         beam_sets = _sorted_beam_sets(beam_sets, self.n_antennas)

@@ -108,9 +108,13 @@ def project_powers(column, n_antennas, n_users, total_power):
 
 
 def project_phases(column, n_antennas, n_users):
-    """Wrap the phase block into [0, 2*pi) by modular reduction, in place."""
+    """Wrap the phase block into [0, 2*pi) by modular reduction, in place.
+
+    The same bits as ``np.mod(block, 2*pi)``, -0.0 to +0.0 included.
+    """
     block = column[n_antennas + n_users :]
-    np.mod(block, _TWO_PI, out=block)
+    np.fmod(block, _TWO_PI, out=block)
+    block += (block < 0.0) * _TWO_PI
     return column
 
 
@@ -147,11 +151,22 @@ def init_swarm(scenario, pso_cfg, rng):
 def top_beam_indices(scores, n_selected):
     """Indices of the n_selected largest beam scores, ties to the lowest index.
 
-    ``scores`` may be a vector or an (N, A) matrix; selection runs down
-    axis 0 either way.
+    ``scores`` may be a vector or an (N, A) matrix of non-NaN values;
+    selection runs down axis 0 either way and the indices come out sorted.
     """
-    order = np.argsort(-np.asarray(scores), axis=0, kind="stable")
-    return np.sort(order[:n_selected], axis=0)
+    scores = np.asarray(scores)
+    if scores.dtype.kind not in "biuf":
+        raise TypeError(f"scores must be real numbers (got dtype {scores.dtype})")
+    n = scores.shape[0]
+    cut = np.partition(scores, n - n_selected, axis=0)[n - n_selected]
+    keep = scores > cut
+    # fill the rest with the lowest-index scores equal to the cut
+    ties = scores == cut
+    keep |= ties & (np.cumsum(ties, axis=0) <= n_selected - keep.sum(axis=0))
+    if scores.ndim == 1:
+        return np.flatnonzero(keep)
+    rows = np.nonzero(keep.T)[1]  # column by column, rows ascending
+    return rows.reshape(scores.shape[1], n_selected).T
 
 
 def decode(column, scenario):
@@ -175,9 +190,9 @@ def update_bests(swarm):
         swarm.global_best_value = float(swarm.personal_best_value[lead])
         swarm.global_best = swarm.personal_best[:, lead].copy()  # a view otherwise
     values = swarm.personal_best_value
-    a = values.size
-    left = np.roll(np.arange(a), 1)  # neighbor a-1
-    right = np.roll(np.arange(a), -1)  # neighbor a+1
+    ring = np.arange(values.size)
+    left = (ring - 1) % values.size
+    right = (ring + 1) % values.size
     pick = np.where(values[left] >= values[right], left, right)
     swarm.local_best = swarm.personal_best[:, pick]  # fancy indexing copies
     return swarm
@@ -190,9 +205,17 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     f, x = swarm.population, swarm.velocity
     rand_global = rng.random(f.shape)
     rand_local = rng.random(f.shape)
+    # x = mu x + c1 r1 (g - f) + c2 r2 (l - f), each product formed in its
+    # draw's buffer; c r = r c, so the bits are those of the plain expression
     x *= cfg.inertia
-    x += cfg.learn_global * rand_global * (swarm.global_best[:, None] - f)
-    x += cfg.learn_local * rand_local * (swarm.local_best - f)
+    gap = np.subtract(swarm.global_best[:, None], f)
+    rand_global *= cfg.learn_global
+    rand_global *= gap
+    x += rand_global
+    np.subtract(swarm.local_best, f, out=gap)
+    rand_local *= cfg.learn_local
+    rand_local *= gap
+    x += rand_local
     f += x
     constraints_check(
         f, scenario.n_antennas, scenario.n_users, scenario.total_power, rng

@@ -51,6 +51,13 @@ class TestTrial:
         assert lines[0] == "iteration,best_rate"
         assert len(lines) == 7  # header + T+1 trace entries
 
+    def test_wrote_line_names_the_written_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = _run(["trial", *_TINY, "--out", "./t.csv"], capsys)
+        assert code == 0
+        assert stdout.splitlines()[-1] == "wrote t.csv"
+        assert (tmp_path / "t.csv").exists()
+
 
 class TestErrors:
     def test_infeasible_settings_exit_2(self, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from beamswarm import harness
 from beamswarm.harness import (
     ExperimentSpec,
     SweepResult,
@@ -164,6 +165,37 @@ class TestRunSweep:
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
         assert np.array_equal(serial.rates, parallel.rates)
+
+    def test_one_task_runs_in_process(self, monkeypatch):
+        spec = _spec(sweep_values=(2,), n_trials=1)
+        serial = run_sweep(spec, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-task sweep started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert np.array_equal(run_sweep(spec, jobs=2).rates, serial.rates)
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        run_sweep(_spec(sweep_values=(2,), n_trials=3), jobs=4)
+        run_sweep(_spec(), jobs=2)
+        assert sizes == [3, 2]
 
     def test_single_trial_has_zero_stderr(self):
         result = run_sweep(_spec(n_trials=1))

@@ -10,6 +10,7 @@ from beamswarm.channel import (
 from beamswarm.linkrate import (
     RateReport,
     SumRateEvaluator,
+    _unit_phasors,
     evaluate_solution,
     sum_rate,
     validate_beam_set,
@@ -568,6 +569,8 @@ def _bad_batch(name, phases, beam_sets, powers):
     elif name in ("powers_negative", "powers_nan", "powers_inf"):
         powers[2, 0] = {"powers_negative": -1.0, "powers_nan": np.nan,
                         "powers_inf": np.inf}[name]
+    elif name == "phases_too_large":
+        phases[4, 1] = -np.nextafter(2.0**20, np.inf)
     return phases, beam_sets, powers
 
 
@@ -589,6 +592,7 @@ def _bad_batch(name, phases, beam_sets, powers):
         ("powers_inf", "finite and >= 0"),
         ("noise_nan", "noise_variance"),
         ("noise_zero", "noise_variance"),
+        ("phases_too_large", r"\|phase\| <= 2\^20 rad"),
     ],
 )
 def test_sum_rates_rejects_bad_batches(name, match):
@@ -605,3 +609,38 @@ def test_sum_rates_rejects_bad_batches(name, match):
     args = _bad_batch(name, phases, beam_sets, powers)
     with pytest.raises(ValueError, match=match):
         ev.sum_rates(*args, noise)
+
+
+def test_unit_phasors_match_exp_up_to_the_phase_bound():
+    # np.exp(1j*phi) is the oracle the table-and-series map replaces
+    bound = 2.0**20
+    rng = derive_stream(17, 1)
+    phases = np.concatenate([
+        np.linspace(-bound, bound, 400_001),
+        rng.uniform(-bound, bound, 100_000),
+        rng.uniform(-4 * np.pi, 4 * np.pi, 100_000),
+        np.arange(-2048, 2049) * (2 * np.pi / 1024),  # table nodes
+        (np.arange(-2048, 2048) + 0.5) * (2 * np.pi / 1024),  # half steps
+        [0.0, -0.0, 2 * np.pi, np.nextafter(2 * np.pi, 0.0), 1e-300, -5e-17,
+         bound, -bound],
+    ]).reshape(-1, 7)
+    got = _unit_phasors(phases)
+    assert got.shape == phases.shape and got.dtype == complex
+    assert np.abs(got - np.exp(1j * phases)).max() <= 1e-15
+
+
+def test_sum_rates_at_the_phase_bound_match_evaluate_solution():
+    cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
+                      n_selected_beams=4)
+    ch = realize_channels(cfg, derive_stream(18, 1))
+    phases = np.full((10, 2), 2.0**20)
+    phases[::2, 1] = -(2.0**20)
+    beam_sets = np.array([[0, 1, 2, 3], [4, 5, 6, 7]]).T
+    powers = np.ones((3, 2))
+    got = SumRateEvaluator(ch).sum_rates(phases, beam_sets, powers,
+                                         cfg.noise_variance)
+    for a in range(2):
+        sol = Solution(beam_set=beam_sets[:, a], powers=powers[:, a],
+                       phases=phases[:, a])
+        want = evaluate_solution(ch, sol, cfg.noise_variance)
+        assert got[a] == pytest.approx(want, rel=1e-12, abs=0.0)

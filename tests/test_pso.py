@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamswarm import linkrate, pso
 from beamswarm.channel import realize_channels, split_phases
 from beamswarm.linkrate import evaluate_solution
 from beamswarm.pso import (
@@ -21,6 +22,55 @@ from beamswarm.pso import (
 from beamswarm.scenario import derive_stream, make_config
 
 TWO_PI = 2.0 * np.pi
+
+
+# Oracles: the plain formulas that the library replaced with faster ones
+# that give the same bits.
+
+
+def mod_phases(column, n_antennas, n_users):
+    block = column[n_antennas + n_users :]
+    np.mod(block, TWO_PI, out=block)
+    return column
+
+
+def argsort_top(scores, n_selected):
+    order = np.argsort(-np.asarray(scores), axis=0, kind="stable")
+    return np.sort(order[:n_selected], axis=0)
+
+
+def rolled_ring_picks(values):
+    left = np.roll(np.arange(values.size), 1)
+    right = np.roll(np.arange(values.size), -1)
+    return np.where(values[left] >= values[right], left, right)
+
+
+def allocating_velocity(swarm, scenario, cfg, rng):
+    f, x = swarm.population, swarm.velocity
+    rand_global = rng.random(f.shape)
+    rand_local = rng.random(f.shape)
+    x *= cfg.inertia
+    x += cfg.learn_global * rand_global * (swarm.global_best[:, None] - f)
+    x += cfg.learn_local * rand_local * (swarm.local_best - f)
+    f += x
+    constraints_check(
+        f, scenario.n_antennas, scenario.n_users, scenario.total_power, rng
+    )
+    return swarm
+
+
+def rolled_bests(swarm):
+    q = swarm.quality
+    improved = q > swarm.personal_best_value
+    swarm.personal_best_value[improved] = q[improved]
+    swarm.personal_best[:, improved] = swarm.population[:, improved]
+    lead = int(np.argmax(swarm.personal_best_value))
+    if swarm.personal_best_value[lead] > swarm.global_best_value:
+        swarm.global_best_value = float(swarm.personal_best_value[lead])
+        swarm.global_best = swarm.personal_best[:, lead].copy()
+    pick = rolled_ring_picks(swarm.personal_best_value)
+    swarm.local_best = swarm.personal_best[:, pick]
+    return swarm
 
 
 class TestPsoConfig:
@@ -178,6 +228,12 @@ class TestTopBeamsAndDecode:
 
     def test_tie_breaks_to_lowest_index(self):
         assert list(top_beam_indices(np.array([1.0, 1.0, 0.5]), 1)) == [0]
+
+    def test_rejects_non_real_scores(self):
+        with pytest.raises(TypeError, match="real numbers"):
+            top_beam_indices(None, 1)
+        with pytest.raises(TypeError, match="real numbers"):
+            top_beam_indices(np.array([1.0 + 1j, 0.5]), 1)
 
     def test_matrix_selection(self):
         scores = np.array([[0.9, 0.1], [0.1, 0.9], [0.8, 0.8]])
@@ -398,3 +454,95 @@ class TestOptimize:
         ):
             optimize(channels, cfg, pcfg, derive_stream(0, 1))
 
+
+
+def _edge_phases():
+    rng = derive_stream(21, 1)
+    nodes = np.arange(-6, 7) * TWO_PI
+    return np.concatenate([
+        [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0),
+         -np.nextafter(TWO_PI, 0.0), 1e-300, -1e-300, -5e-17, 5e-17],
+        nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+        rng.uniform(-50.0, 50.0, 100_000),
+        rng.uniform(-1e-15, 1e-15, 1000),
+    ])
+
+
+class TestAgainstReplacedFormulas:
+    def test_phase_wrap_has_the_bits_of_np_mod(self):
+        values = _edge_phases()
+        got = project_phases(values.copy(), 0, 0)
+        want = mod_phases(values.copy(), 0, 0)
+        assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ here
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("n_selected", [1, 8, 16, 64])
+    def test_top_beams_match_stable_argsort(self, n_selected):
+        rng = derive_stream(22, 1)
+        ties = rng.integers(0, 6, (64, 40)) / 5.0  # many repeated values
+        smooth = rng.random((64, 40))
+        constant = np.full((64, 3), 0.5)
+        one_peak = np.zeros((64, 2))
+        one_peak[7] = 1.0
+        for scores in (ties, smooth, constant, one_peak):
+            got = top_beam_indices(scores, n_selected)
+            assert np.array_equal(got, argsort_top(scores, n_selected))
+            assert got.shape == (n_selected, scores.shape[1])
+            for column in scores.T:
+                assert np.array_equal(top_beam_indices(column, n_selected),
+                                      argsort_top(column, n_selected))
+
+    @pytest.mark.parametrize("a", [3, 4, 50])
+    def test_ring_neighbors_match_rolled_indices(self, a):
+        rng = derive_stream(23, a)
+        population = rng.random((5, a))
+        quality = rng.integers(0, 3, a).astype(float)  # ties between neighbors
+        swarm = update_bests(_toy_swarm(population, quality))
+        pick = rolled_ring_picks(swarm.personal_best_value)
+        assert np.array_equal(swarm.local_best, swarm.personal_best[:, pick])
+
+    def test_velocity_step_has_the_bits_of_the_allocating_expression(self):
+        cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=8,
+                          n_selected_beams=4)
+        pcfg = PsoConfig(n_particles=6, inertia=0.3, learn_global=1.7,
+                         learn_local=2.9)
+        swarm = init_swarm(cfg, pcfg, derive_stream(24, 1))
+        swarm.quality = derive_stream(24, 2).random(6)
+        update_bests(swarm)
+        swarm.velocity = derive_stream(24, 3).normal(size=swarm.velocity.shape)
+        twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
+        twin.global_best_value = swarm.global_best_value
+        for _ in range(3):
+            update_velocity_and_position(swarm, cfg, pcfg, derive_stream(24, 4))
+            allocating_velocity(twin, cfg, pcfg, derive_stream(24, 4))
+            assert swarm.velocity.tobytes() == twin.velocity.tobytes()
+            assert swarm.population.tobytes() == twin.population.tobytes()
+
+
+_REFERENCE_CONFIGS = {
+    "defaults": ({}, {}),
+    "m1024": ({"m_total": 1024}, {"n_iterations": 25}),
+    "uneven": ({"n_ris": 3, "uc_per_ris": (5, 9, 2)},
+               {"n_particles": 20, "n_iterations": 40}),
+    "k16": ({"n_users": 16, "n_selected_beams": 16}, {"n_iterations": 50}),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CONFIGS))
+def test_optimize_matches_a_run_on_the_replaced_formulas(case, monkeypatch):
+    scenario_kwargs, pso_kwargs = _REFERENCE_CONFIGS[case]
+    cfg = make_config(**scenario_kwargs)
+    pcfg = PsoConfig(**pso_kwargs)
+    channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0, 1))
+    got = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
+    with monkeypatch.context() as m:
+        m.setattr(linkrate, "_unit_phasors", lambda phases: np.exp(1j * phases))
+        m.setattr(pso, "project_phases", mod_phases)
+        m.setattr(pso, "top_beam_indices", argsort_top)
+        m.setattr(pso, "update_bests", rolled_bests)
+        m.setattr(pso, "update_velocity_and_position", allocating_velocity)
+        want = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
+    for field in ("beam_set", "powers", "phases"):
+        assert getattr(got[0], field).tobytes() == getattr(want[0], field).tobytes()
+    assert got[1] == pytest.approx(want[1], rel=2e-15, abs=0.0)
+    assert got[2] == pytest.approx(want[2], rel=2e-15, abs=0.0)
