@@ -8,6 +8,7 @@ which is the continuous limit of the matched-filter expression at 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -32,27 +33,56 @@ _TABLE = np.exp(1j * (np.arange(_TABLE_SIZE) * _STEP_HI)) * np.exp(
 )
 
 
-def _unit_phasors(phases):
+# the elementwise passes over (rows, A) blocks run a few rows at a time, so
+# that their operands stay in L2 and a block-sized temporary (64 KiB) stays
+# below glibc's 128 KiB mmap threshold and is reused instead of faulted in
+_BLOCK = 1 << 13
+
+
+def _block_rows(shape):
+    """Rows of an array of ``shape`` that make up one block (at least one)."""
+    return max(1, _BLOCK // max(1, math.prod(shape[1:])))
+
+
+def _row_blocks(shape):
+    """Slices of consecutive rows of an array of ``shape``, one block each."""
+    step = _block_rows(shape)
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
+
+
+def _unit_phasors(phases, out=None, scratch=None):
     """exp(1j * phases) for finite |phases| <= _PHASE_BOUND, to 1e-15.
 
     A table lookup times a short Taylor series in the remainder b, with
     |b| <= pi/2^10: cos to b^4 and sin to b^5 leave errors below 1e-17.
-    The steps reuse their buffers, so at its peak it holds the complex
-    result and three real arrays the size of ``phases``: one real array
-    more than ``np.exp(1j * phases)`` holds.
+    Writes into ``out`` (complex, the shape of ``phases``) and works in row
+    blocks through ``scratch``, a float array of three rows of at least
+    one block (see :func:`_row_blocks`); either is allocated when absent.
     """
-    k = np.multiply(phases, _STEPS_PER_RAD)
+    if out is None:
+        out = np.empty(phases.shape, dtype=complex)
+    if scratch is None:
+        scratch = np.empty((3, phases[: _block_rows(phases.shape)].size))
+    for rows in _row_blocks(phases.shape):
+        _unit_phasor_block(phases[rows], out[rows], scratch)
+    return out
+
+
+def _unit_phasor_block(phases, out, scratch):
+    """One block of :func:`_unit_phasors`, in ``out`` and ``scratch`` only."""
+    k, b, sin = scratch[:, : phases.size].reshape((3,) + phases.shape)
+    np.multiply(phases, _STEPS_PER_RAD, out=k)
     np.rint(k, out=k)
-    idx = k.astype(np.intp)
+    idx = b.view(np.intp)
+    np.copyto(idx, k, casting="unsafe")
     idx &= _TABLE_SIZE - 1
-    out = np.take(_TABLE, idx)
-    b = idx.view(np.float64)  # the indices are spent; reuse their buffer
-    np.multiply(k, _STEP_HI, out=b)
+    np.take(_TABLE, idx, out=out, mode="clip")  # "raise" would buffer out
+    np.multiply(k, _STEP_HI, out=b)  # the indices are spent; reuse their buffer
     np.subtract(phases, b, out=b)
     k *= _STEP_LO
     b -= k
     b2 = np.multiply(b, b, out=k)
-    sin = b2 * (1.0 / 120.0)
+    np.multiply(b2, 1.0 / 120.0, out=sin)
     sin -= 1.0 / 6.0
     sin *= b2
     sin *= b
@@ -69,7 +99,6 @@ def _unit_phasors(phases):
     im += sin
     re *= cos
     re -= im_sin
-    return out
 
 
 @dataclass(frozen=True)
@@ -100,24 +129,38 @@ def _sorted_beam_sets(beam_sets, n_antennas):
     ordered = np.sort(beam_sets, axis=0)
     if ordered.size and (ordered[0].min() < 0 or ordered[-1].max() >= n_antennas):
         raise ValueError(f"beam indices must lie in [0, {n_antennas})")
-    if (np.diff(ordered, axis=0) == 0).any():
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("beam indices must be unique within each beam set")
     return ordered
 
 
-def _mrt_sinrs(h_sel, p, noise_variance):
+def _sinr_work(a, k, n_s):
+    """Work arrays of :func:`_mrt_sinrs` for A candidates, K users, N_s beams."""
+    return (
+        np.empty((a, k, n_s), dtype=complex),  # conj(h_sel)
+        np.empty((a, k, k), dtype=complex),  # cross gains
+        np.empty((a, k, k)),  # |cross|^2
+        np.empty((a, k, k)),  # received powers
+    )
+
+
+def _mrt_sinrs(h_sel, p, noise_variance, work=None):
     """Matched-filter SINRs of a batch: (A, K, N_s) channels, (A, K) powers.
 
     User i's precoder is conj(h_i(S)) / |h_i(S)|, so user k receives
     p_i |<h_k(S), h_i(S)>|^2 / |h_i(S)|^2 from user i. Returns (A, K).
+    ``work`` holds the (A, K, ·) arrays (see :func:`_sinr_work`); they are
+    allocated when absent.
     """
-    cross = h_sel @ h_sel.conj().transpose(0, 2, 1)  # (A, K, K)
-    energy = np.einsum("akk->ak", cross).real  # |h_k(S)|^2
-    cross_sq = cross.real**2 + cross.imag**2
+    h_conj, cross, cross_sq, received = work or _sinr_work(*h_sel.shape)
+    np.conjugate(h_sel, out=h_conj)
+    np.matmul(h_sel, h_conj.transpose(0, 2, 1), out=cross)  # (A, K, K)
+    energy = cross.diagonal(axis1=1, axis2=2).real  # |h_k(S)|^2
+    np.square(cross.real, out=cross_sq)
+    cross_sq += np.square(cross.imag, out=received)
     denom = energy[:, None, :]
-    received = np.divide(
-        cross_sq, denom, out=np.zeros_like(cross_sq), where=denom > 0.0
-    )
+    received.fill(0.0)
+    np.divide(cross_sq, denom, out=received, where=denom > 0.0)
     received *= p[:, None, :]
     signal = p * energy
     # self-term cancellation is exact up to rounding; clamp the residue
@@ -215,34 +258,68 @@ class SumRateEvaluator:
     ``P`` at the selected beams; the beams that are not selected are never
     formed. At full rank the same path is exact. Results match
     :func:`evaluate_solution` to rounding.
+
+    The per-batch arrays live in buffers the evaluator keeps between calls
+    and allocates anew when the batch shape (A, N_s) changes, so one
+    evaluator must not be called from two threads at once. ``optimize``
+    builds its own, and the sweep pool runs processes.
     """
 
     def __init__(self, channels):
-        rows = []
-        self._surfaces = []  # (W_j, slice of surface j's phases)
-        end = 0
+        rows, ws = [], []
         for c, g in zip(channels.bs_ris, channels.ris_ue):
             basis, coef = _low_rank(c)
             rows.append(channels.dft_matrix @ basis)  # P_j, (N, r_j)
-            w = (coef[:, None, :] * g.T).reshape(-1, g.shape[0])  # W_j, (r_j K, M_j)
-            self._surfaces.append((w, slice(end, end + g.shape[0])))
-            end += g.shape[0]
+            # W_j, (r_j K, M_j)
+            ws.append((coef[:, None, :] * g.T).reshape(-1, g.shape[0]))
+        # consecutive surfaces with W_j of one shape share one batched product
+        self._products = []  # (stacked W_j, their phases, their rows of z)
+        end = z_end = 0
+        for _, run in itertools.groupby(ws, key=np.shape):
+            w = np.stack(list(run))  # (J_g, r_j K, M_j)
+            j, rk, m = w.shape
+            self._products.append(
+                (w, slice(end, end + j * m), slice(z_end, z_end + j * rk))
+            )
+            end += j * m
+            z_end += j * rk
         self.n_users = channels.n_users
         self.n_antennas = channels.n_antennas
         self.total_uc = end
         self._op = np.concatenate(rows, axis=1)  # P = [P_1 ... P_J], (N, R)
+        self._batch = None  # (A, N_s) and the arrays of a batch of that shape
+
+    def _buffers(self, a, n_s):
+        """The arrays of an (A, N_s) batch, allocated when the shape changes."""
+        if self._batch is None or self._batch[0] != (a, n_s):
+            m, k, r = self.total_uc, self.n_users, self._op.shape[1]
+            self._batch = (a, n_s), (
+                np.empty((m, a), dtype=complex),  # unit-cell phasors v
+                np.empty((3, min(m, _block_rows((m, a))) * a)),  # phase-map scratch
+                np.empty((r * k, a), dtype=complex),  # z, rows (j, r, k)
+                np.empty((a, n_s, r), dtype=complex),  # rows of P per candidate
+                _sinr_work(a, k, n_s),
+            )
+        return self._batch[1]
 
     def beamspace_channels(self, phases, beam_sets):
         """Selected-beam channels of a batch; shape (A, K, N_s).
 
         ``phases`` is (M, A) and ``beam_sets`` (N_s, A) beam indices; entry
-        [a, k, s] is user k's channel on beam ``beam_sets[s, a]``.
+        [a, k, s] is user k's channel on beam ``beam_sets[s, a]``. The
+        returned array is new; the intermediates live in buffers the
+        evaluator keeps between calls.
         """
-        v = _unit_phasors(phases)
-        # rows of z run over (surface j, rank r, user k)
-        z = np.concatenate([w @ v[cells] for w, cells in self._surfaces])
-        z = z.reshape(-1, self.n_users, v.shape[1]).transpose(2, 1, 0)  # (A, K, R)
-        return z @ self._op[beam_sets.T].transpose(0, 2, 1)  # (A, R, N_s)
+        a = phases.shape[1]
+        v, scratch, z, p_rows, _ = self._buffers(a, beam_sets.shape[0])
+        _unit_phasors(phases, v, scratch)
+        for w, cells, z_rows in self._products:
+            j, rk, m = w.shape
+            np.matmul(w, v[cells].reshape(j, m, a), out=z[z_rows].reshape(j, rk, a))
+        # rows of z run over (surface j, rank r, user k); R, not -1, for A = 0
+        z_t = z.reshape(self._op.shape[1], self.n_users, a).transpose(2, 1, 0)
+        np.take(self._op, beam_sets.T, axis=0, out=p_rows, mode="clip")
+        return z_t @ p_rows.transpose(0, 2, 1)  # (A, R, N_s)
 
     def sum_rates(self, phases, beam_sets, powers, noise_variance):
         """Sum rates for a batch of candidates, one column per candidate.
@@ -279,8 +356,12 @@ class SumRateEvaluator:
         if not (-_PHASE_BOUND <= phases.min(initial=0.0)
                 and phases.max(initial=0.0) <= _PHASE_BOUND):
             raise ValueError("phases must be finite with |phase| <= 2^20 rad")
-        if not (np.isfinite(powers).all() and (powers >= 0.0).all()):
+        # NaN fails both comparisons here too
+        if not (0.0 <= powers.min(initial=0.0)
+                and powers.max(initial=0.0) < math.inf):
             raise ValueError("powers must be finite and >= 0")
         beam_sets = _sorted_beam_sets(beam_sets, self.n_antennas)
         h_sel = self.beamspace_channels(phases, beam_sets)  # (A, K, N_s)
-        return np.log1p(_mrt_sinrs(h_sel, powers.T, noise_variance)).sum(axis=1) / _LN2
+        work = self._buffers(a, beam_sets.shape[0])[4]
+        sinrs = _mrt_sinrs(h_sel, powers.T, noise_variance, work)
+        return np.log1p(sinrs).sum(axis=1) / _LN2

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linkrate import SumRateEvaluator
+from .linkrate import SumRateEvaluator, _block_rows, _row_blocks
 from .scenario import _require_int
 
 _TWO_PI = 2.0 * np.pi
@@ -70,6 +70,9 @@ class Swarm:
     local_best: np.ndarray  # (N_v, A), the better ring neighbor's personal best
     global_best: np.ndarray  # (N_v,)
     global_best_value: float
+    # the velocity step's draws: N_v rows of r_global, then one row block
+    # each of r_local and of the gap; allocated by the first step
+    draw_buffers: np.ndarray | None = None
 
 
 def project_beams(column, n_antennas, rng=None):
@@ -112,9 +115,11 @@ def project_phases(column, n_antennas, n_users):
 
     The same bits as ``np.mod(block, 2*pi)``, -0.0 to +0.0 included.
     """
-    block = column[n_antennas + n_users :]
-    np.fmod(block, _TWO_PI, out=block)
-    block += (block < 0.0) * _TWO_PI
+    phases = column[n_antennas + n_users :]
+    for rows in _row_blocks(phases.shape):
+        block = phases[rows]
+        np.fmod(block, _TWO_PI, out=block)
+        block += (block < 0.0) * _TWO_PI
     return column
 
 
@@ -184,7 +189,7 @@ def update_bests(swarm):
     q = swarm.quality
     improved = q > swarm.personal_best_value
     swarm.personal_best_value[improved] = q[improved]
-    swarm.personal_best[:, improved] = swarm.population[:, improved]
+    np.copyto(swarm.personal_best, swarm.population, where=improved)
     lead = int(np.argmax(swarm.personal_best_value))
     if swarm.personal_best_value[lead] > swarm.global_best_value:
         swarm.global_best_value = float(swarm.personal_best_value[lead])
@@ -194,7 +199,8 @@ def update_bests(swarm):
     left = (ring - 1) % values.size
     right = (ring + 1) % values.size
     pick = np.where(values[left] >= values[right], left, right)
-    swarm.local_best = swarm.personal_best[:, pick]  # fancy indexing copies
+    # "raise" would buffer the output
+    np.take(swarm.personal_best, pick, axis=1, out=swarm.local_best, mode="clip")
     return swarm
 
 
@@ -203,20 +209,32 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     if not np.isfinite(swarm.global_best_value):
         raise ValueError("update_bests must run before the velocity update")
     f, x = swarm.population, swarm.velocity
-    rand_global = rng.random(f.shape)
-    rand_local = rng.random(f.shape)
-    # x = mu x + c1 r1 (g - f) + c2 r2 (l - f), each product formed in its
-    # draw's buffer; c r = r c, so the bits are those of the plain expression
-    x *= cfg.inertia
-    gap = np.subtract(swarm.global_best[:, None], f)
-    rand_global *= cfg.learn_global
-    rand_global *= gap
-    x += rand_global
-    np.subtract(swarm.local_best, f, out=gap)
-    rand_local *= cfg.learn_local
-    rand_local *= gap
-    x += rand_local
-    f += x
+    n_vars, block = len(f), min(len(f), _block_rows(f.shape))
+    shape = (n_vars + 2 * block,) + f.shape[1:]
+    if getattr(swarm.draw_buffers, "shape", None) != shape:
+        swarm.draw_buffers = np.empty(shape)
+    rand_global = swarm.draw_buffers[:n_vars]
+    rand_local = swarm.draw_buffers[n_vars : n_vars + block]
+    gap = swarm.draw_buffers[n_vars + block :]
+    rng.random(out=rand_global)
+    # x = mu x + c1 r1 (g - f) + c2 r2 (l - f), row block by row block, each
+    # product formed in its draw's buffer; c r = r c, so the bits are those
+    # of the plain expression. r_local is drawn block by block after all of
+    # r_global, which gives the numbers of one (N_v, A) draw.
+    for rows in _row_blocks(f.shape):
+        fb, xb, r_g = f[rows], x[rows], rand_global[rows]
+        r_l, gb = rand_local[: len(fb)], gap[: len(fb)]
+        rng.random(out=r_l)
+        xb *= cfg.inertia
+        np.subtract(swarm.global_best[rows, None], fb, out=gb)
+        r_g *= cfg.learn_global
+        r_g *= gb
+        xb += r_g
+        np.subtract(swarm.local_best[rows], fb, out=gb)
+        r_l *= cfg.learn_local
+        r_l *= gb
+        xb += r_l
+        fb += xb
     constraints_check(
         f, scenario.n_antennas, scenario.n_users, scenario.total_power, rng
     )

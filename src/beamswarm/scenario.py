@@ -26,8 +26,13 @@ def watts_to_dbm(x_watts):
 
 
 def _require_int(name, value):
-    """Reject a non-integral size, count or seed, naming the field."""
+    """Reject a non-integral size, count or seed, naming the field.
+
+    ``operator.index`` accepts ``True`` and ``False``; they are rejected too.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer (got {value!r})") from None

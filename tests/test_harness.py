@@ -17,7 +17,7 @@ from beamswarm.harness import (
     summary_path_for,
 )
 from beamswarm.pso import PsoConfig
-from beamswarm.scenario import derive_seed, make_config
+from beamswarm.scenario import ScenarioConfig, derive_seed, make_config
 
 
 def _base_scenario(seed=11):
@@ -207,6 +207,37 @@ class TestRunSweep:
             run_sweep(_spec(), jobs=0)
         with pytest.raises(ValueError, match="jobs must be an integer"):
             run_sweep(_spec(), jobs=2.0)
+
+
+# operator.index accepts True and False; each integer field must not
+_BOOL_SIZES = {  # case: (build, the field the message names)
+    "PsoConfig.n_particles": (lambda: PsoConfig(n_particles=True), "n_particles"),
+    "PsoConfig.n_iterations": (lambda: PsoConfig(n_iterations=True), "n_iterations"),
+    "PsoConfig.rng_seed": (lambda: PsoConfig(rng_seed=False), "rng_seed"),
+    "ScenarioConfig.n_antennas": (lambda: ScenarioConfig(n_antennas=True),
+                                  "n_antennas"),
+    "ScenarioConfig.n_users": (lambda: ScenarioConfig(n_users=True), "n_users"),
+    "ScenarioConfig.n_ris": (lambda: make_config(n_ris=True), "n_ris"),
+    "ScenarioConfig.n_nlos_paths": (lambda: make_config(n_nlos_paths=False),
+                                    "n_nlos_paths"),
+    "ScenarioConfig.n_selected_beams": (lambda: make_config(n_selected_beams=True),
+                                        "n_selected_beams"),
+    "ScenarioConfig.rng_seed": (lambda: make_config(rng_seed=False), "rng_seed"),
+    "ScenarioConfig.uc_per_ris": (
+        lambda: make_config(n_ris=2, uc_per_ris=(16, True)), r"uc_per_ris\[1\]"),
+    "ExperimentSpec.sweep_values": (lambda: _spec(sweep_values=(True, 4)),
+                                    r"sweep_values\[0\]"),
+    "ExperimentSpec.n_trials": (lambda: _spec(n_trials=True), "n_trials"),
+    "jobs": (lambda: run_sweep(_spec(), jobs=True), "jobs"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOOL_SIZES))
+def test_booleans_are_not_sizes(case):
+    build, field = _BOOL_SIZES[case]
+    match = rf"^{field} must be an integer \(got (True|False)\)$"
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def _toy_result():

@@ -7,6 +7,7 @@ from beamswarm.channel import (
     realize_channels,
     to_beamspace,
 )
+from beamswarm import linkrate
 from beamswarm.linkrate import (
     RateReport,
     SumRateEvaluator,
@@ -644,3 +645,56 @@ def test_sum_rates_at_the_phase_bound_match_evaluate_solution():
                        phases=phases[:, a])
         want = evaluate_solution(ch, sol, cfg.noise_variance)
         assert got[a] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _batch(cfg, a, n_s, seed):
+    rng = derive_stream(seed, a, n_s)
+    phases = rng.uniform(0, 2 * np.pi, (cfg.total_uc, a))
+    beam_sets = np.argsort(rng.random((cfg.n_antennas, a)), axis=0)[:n_s]
+    powers = rng.random((cfg.n_users, a))
+    return phases, beam_sets, powers
+
+
+def test_empty_batch_gives_empty_rates():
+    cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
+                      n_selected_beams=4)
+    ev = SumRateEvaluator(realize_channels(cfg, derive_stream(19, 1)))
+    for n_s in (4, 0):
+        got = ev.sum_rates(*_batch(cfg, 0, n_s, 19), cfg.noise_variance)
+        assert got.shape == (0,) and got.dtype == float
+
+
+def test_reused_evaluator_matches_a_fresh_one():
+    # the buffers are keyed by (A, N_s); changing either must not leak state
+    cfg = make_config(n_users=4, n_selected_beams=16)
+    ch = realize_channels(cfg, derive_stream(21, 1))
+    ev = SumRateEvaluator(ch)
+    shapes = [(50, 16), (7, 16), (50, 16), (50, 5), (1, 4), (50, 16), (0, 16),
+              (120, 16)]
+    for i, (a, n_s) in enumerate(shapes):
+        batch = _batch(cfg, a, n_s, 22 + i)
+        got = ev.sum_rates(*batch, cfg.noise_variance)
+        want = SumRateEvaluator(ch).sum_rates(*batch, cfg.noise_variance)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_beamspace_channels_returns_a_new_array():
+    cfg = make_config()
+    ev = SumRateEvaluator(realize_channels(cfg, derive_stream(23, 1)))
+    phases, beam_sets, _ = _batch(cfg, 50, 8, 24)
+    first = ev.beamspace_channels(phases, np.sort(beam_sets, axis=0))
+    kept = first.copy()
+    other, other_sets, _ = _batch(cfg, 50, 8, 25)
+    second = ev.beamspace_channels(other, np.sort(other_sets, axis=0))
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("shape", [(1024, 50), (200, 64), (3, 40_000), (70_000,)])
+def test_unit_phasors_in_row_blocks_match_one_pass(shape, monkeypatch):
+    # several blocks, uneven last block, rows longer than a block, 1-D
+    phases = derive_stream(26, len(shape)).uniform(-50.0, 50.0, shape)
+    got = _unit_phasors(phases)
+    assert len(linkrate._row_blocks(phases.shape)) > 1
+    monkeypatch.setattr(linkrate, "_BLOCK", phases.size)
+    assert got.tobytes() == _unit_phasors(phases).tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -327,7 +329,10 @@ class TestUpdateBests:
 
 
 class _OnesRng:
-    def random(self, shape=None):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out.fill(1.0)
+            return out
         return np.ones(shape) if shape is not None else 1.0
 
 
@@ -470,11 +475,17 @@ def _edge_phases():
 
 class TestAgainstReplacedFormulas:
     def test_phase_wrap_has_the_bits_of_np_mod(self):
+        # a vector, then (rows, A) matrices of several row blocks with a short
+        # last one; np.resize repeats the values to fill whole rows
         values = _edge_phases()
-        got = project_phases(values.copy(), 0, 0)
-        want = mod_phases(values.copy(), 0, 0)
-        assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ here
-        assert not np.signbit(got).any()
+        for a in (None, 50, 7, 20_000):
+            rows = -(-values.size // (a or 1))
+            block = values if a is None else np.resize(values, (rows, a))
+            assert len(linkrate._row_blocks(block.shape)) > 1
+            got = project_phases(block.copy(), 0, 0)
+            want = mod_phases(block.copy(), 0, 0)
+            assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ here
+            assert not np.signbit(got).any()
 
     @pytest.mark.parametrize("n_selected", [1, 8, 16, 64])
     def test_top_beams_match_stable_argsort(self, n_selected):
@@ -502,21 +513,25 @@ class TestAgainstReplacedFormulas:
         assert np.array_equal(swarm.local_best, swarm.personal_best[:, pick])
 
     def test_velocity_step_has_the_bits_of_the_allocating_expression(self):
-        cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=8,
-                          n_selected_beams=4)
-        pcfg = PsoConfig(n_particles=6, inertia=0.3, learn_global=1.7,
-                         learn_local=2.9)
-        swarm = init_swarm(cfg, pcfg, derive_stream(24, 1))
-        swarm.quality = derive_stream(24, 2).random(6)
-        update_bests(swarm)
-        swarm.velocity = derive_stream(24, 3).normal(size=swarm.velocity.shape)
-        twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
-        twin.global_best_value = swarm.global_best_value
-        for _ in range(3):
-            update_velocity_and_position(swarm, cfg, pcfg, derive_stream(24, 4))
-            allocating_velocity(twin, cfg, pcfg, derive_stream(24, 4))
-            assert swarm.velocity.tobytes() == twin.velocity.tobytes()
-            assert swarm.population.tobytes() == twin.population.tobytes()
+        # one row block, then populations of several with a short last one
+        for m_total, a in ((8, 6), (1024, 50), (300, 37)):
+            cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=m_total,
+                              n_selected_beams=4)
+            pcfg = PsoConfig(n_particles=a, inertia=0.3, learn_global=1.7,
+                             learn_local=2.9)
+            swarm = init_swarm(cfg, pcfg, derive_stream(24, 1))
+            blocks = len(linkrate._row_blocks(swarm.population.shape))
+            assert (blocks > 1) == (m_total > 8)
+            swarm.quality = derive_stream(24, 2).random(a)
+            update_bests(swarm)
+            swarm.velocity = derive_stream(24, 3).normal(size=swarm.velocity.shape)
+            twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
+            twin.global_best_value = swarm.global_best_value
+            for _ in range(3):
+                update_velocity_and_position(swarm, cfg, pcfg, derive_stream(24, 4))
+                allocating_velocity(twin, cfg, pcfg, derive_stream(24, 4))
+                assert swarm.velocity.tobytes() == twin.velocity.tobytes()
+                assert swarm.population.tobytes() == twin.population.tobytes()
 
 
 _REFERENCE_CONFIGS = {
@@ -535,14 +550,56 @@ def test_optimize_matches_a_run_on_the_replaced_formulas(case, monkeypatch):
     pcfg = PsoConfig(**pso_kwargs)
     channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0, 1))
     got = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
+    exp_calls = []
+
+    def exp_phasors(phases, out, scratch):
+        exp_calls.append(phases.shape)
+        out[...] = np.exp(1j * phases)
+        return out
+
     with monkeypatch.context() as m:
-        m.setattr(linkrate, "_unit_phasors", lambda phases: np.exp(1j * phases))
+        m.setattr(linkrate, "_unit_phasors", exp_phasors)
         m.setattr(pso, "project_phases", mod_phases)
         m.setattr(pso, "top_beam_indices", argsort_top)
         m.setattr(pso, "update_bests", rolled_bests)
         m.setattr(pso, "update_velocity_and_position", allocating_velocity)
         want = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
+    # the evaluator called the patched map, once per evaluation of the swarm
+    assert exp_calls == [(cfg.total_uc, pcfg.n_particles)] * (pcfg.n_iterations + 1)
     for field in ("beam_set", "powers", "phases"):
         assert getattr(got[0], field).tobytes() == getattr(want[0], field).tobytes()
     assert got[1] == pytest.approx(want[1], rel=2e-15, abs=0.0)
     assert got[2] == pytest.approx(want[2], rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "scenario_kwargs, pso_kwargs, limit_kb",
+    [({}, {"n_iterations": 12}, 256), ({"m_total": 1024}, {"n_iterations": 25}, 1024)],
+    ids=["defaults", "m1024"],
+)
+def test_iteration_allocates_little_beyond_the_run_buffers(
+    scenario_kwargs, pso_kwargs, limit_kb
+):
+    # with (M, A)-sized temporaries made afresh in every step, an iteration
+    # peaked at 455 KB at the defaults and 2005 KB at M=1024
+    cfg = make_config(**scenario_kwargs)
+    pcfg = PsoConfig(**pso_kwargs)
+    channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0, 2))
+    peaks = []
+    start = [0]
+
+    def callback(t, swarm):
+        current, peak = tracemalloc.get_traced_memory()
+        if t >= 3:  # the run's buffers exist from the first steps on
+            peaks.append(peak - start[0])
+        tracemalloc.reset_peak()
+        start[0] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 2),
+                 callback=callback)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == pcfg.n_iterations - 2
+    assert max(peaks) <= limit_kb * 1024
