@@ -99,6 +99,9 @@ def run_trial(scenario, pso_cfg, trial_index):
     Returns (optimized sum rate, random-initialization baseline, trace);
     the baseline is trace index 0.
     """
+    _require_int("trial_index", trial_index)
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0 (got {trial_index})")
     channel_rng = derive_stream(scenario.rng_seed, _CHANNEL_TAG, trial_index)
     channels = realize_channels(scenario, channel_rng)
     swarm_rng = derive_stream(pso_cfg.rng_seed, _SWARM_TAG, trial_index)

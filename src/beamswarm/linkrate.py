@@ -33,44 +33,20 @@ _TABLE = np.exp(1j * (np.arange(_TABLE_SIZE) * _STEP_HI)) * np.exp(
 )
 
 
-# the elementwise passes over (rows, A) blocks run a few rows at a time, so
-# that their operands stay in L2 and a block-sized temporary (64 KiB) stays
-# below glibc's 128 KiB mmap threshold and is reused instead of faulted in
-_BLOCK = 1 << 13
-
-
-def _block_rows(shape):
-    """Rows of an array of ``shape`` that make up one block (at least one)."""
-    return max(1, _BLOCK // max(1, math.prod(shape[1:])))
-
-
-def _row_blocks(shape):
-    """Slices of consecutive rows of an array of ``shape``, one block each."""
-    step = _block_rows(shape)
-    return [slice(i, i + step) for i in range(0, shape[0], step)]
-
-
 def _unit_phasors(phases, out=None, scratch=None):
     """exp(1j * phases) for finite |phases| <= _PHASE_BOUND, to 1e-15.
 
     A table lookup times a short Taylor series in the remainder b, with
     |b| <= pi/2^10: cos to b^4 and sin to b^5 leave errors below 1e-17.
-    Writes into ``out`` (complex, the shape of ``phases``) and works in row
-    blocks through ``scratch``, a float array of three rows of at least
-    one block (see :func:`_row_blocks`); either is allocated when absent.
+    Writes into ``out`` (complex, the shape of ``phases``) and works in
+    ``scratch``, a float array of shape ``(3,) + phases.shape``; either is
+    allocated when absent.
     """
     if out is None:
         out = np.empty(phases.shape, dtype=complex)
     if scratch is None:
-        scratch = np.empty((3, phases[: _block_rows(phases.shape)].size))
-    for rows in _row_blocks(phases.shape):
-        _unit_phasor_block(phases[rows], out[rows], scratch)
-    return out
-
-
-def _unit_phasor_block(phases, out, scratch):
-    """One block of :func:`_unit_phasors`, in ``out`` and ``scratch`` only."""
-    k, b, sin = scratch[:, : phases.size].reshape((3,) + phases.shape)
+        scratch = np.empty((3,) + phases.shape)
+    k, b, sin = scratch
     np.multiply(phases, _STEPS_PER_RAD, out=k)
     np.rint(k, out=k)
     idx = b.view(np.intp)
@@ -99,6 +75,7 @@ def _unit_phasor_block(phases, out, scratch):
     im += sin
     re *= cos
     re -= im_sin
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,7 +272,7 @@ class SumRateEvaluator:
             m, k, r = self.total_uc, self.n_users, self._op.shape[1]
             self._batch = (a, n_s), (
                 np.empty((m, a), dtype=complex),  # unit-cell phasors v
-                np.empty((3, min(m, _block_rows((m, a))) * a)),  # phase-map scratch
+                np.empty((3, m, a)),  # phase-map scratch
                 np.empty((r * k, a), dtype=complex),  # z, rows (j, r, k)
                 np.empty((a, n_s, r), dtype=complex),  # rows of P per candidate
                 _sinr_work(a, k, n_s),

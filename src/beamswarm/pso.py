@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linkrate import SumRateEvaluator, _block_rows, _row_blocks
+from .linkrate import SumRateEvaluator
 from .scenario import _require_int
 
 _TWO_PI = 2.0 * np.pi
@@ -70,8 +70,7 @@ class Swarm:
     local_best: np.ndarray  # (N_v, A), the better ring neighbor's personal best
     global_best: np.ndarray  # (N_v,)
     global_best_value: float
-    # the velocity step's draws: N_v rows of r_global, then one row block
-    # each of r_local and of the gap; allocated by the first step
+    # the velocity step's (N_v, A) draw and gap; allocated by the first step
     draw_buffers: np.ndarray | None = None
 
 
@@ -115,11 +114,9 @@ def project_phases(column, n_antennas, n_users):
 
     The same bits as ``np.mod(block, 2*pi)``, -0.0 to +0.0 included.
     """
-    phases = column[n_antennas + n_users :]
-    for rows in _row_blocks(phases.shape):
-        block = phases[rows]
-        np.fmod(block, _TWO_PI, out=block)
-        block += (block < 0.0) * _TWO_PI
+    block = column[n_antennas + n_users :]
+    np.fmod(block, _TWO_PI, out=block)
+    block += (block < 0.0) * _TWO_PI
     return column
 
 
@@ -209,32 +206,24 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     if not np.isfinite(swarm.global_best_value):
         raise ValueError("update_bests must run before the velocity update")
     f, x = swarm.population, swarm.velocity
-    n_vars, block = len(f), min(len(f), _block_rows(f.shape))
-    shape = (n_vars + 2 * block,) + f.shape[1:]
-    if getattr(swarm.draw_buffers, "shape", None) != shape:
-        swarm.draw_buffers = np.empty(shape)
-    rand_global = swarm.draw_buffers[:n_vars]
-    rand_local = swarm.draw_buffers[n_vars : n_vars + block]
-    gap = swarm.draw_buffers[n_vars + block :]
-    rng.random(out=rand_global)
-    # x = mu x + c1 r1 (g - f) + c2 r2 (l - f), row block by row block, each
-    # product formed in its draw's buffer; c r = r c, so the bits are those
-    # of the plain expression. r_local is drawn block by block after all of
-    # r_global, which gives the numbers of one (N_v, A) draw.
-    for rows in _row_blocks(f.shape):
-        fb, xb, r_g = f[rows], x[rows], rand_global[rows]
-        r_l, gb = rand_local[: len(fb)], gap[: len(fb)]
-        rng.random(out=r_l)
-        xb *= cfg.inertia
-        np.subtract(swarm.global_best[rows, None], fb, out=gb)
-        r_g *= cfg.learn_global
-        r_g *= gb
-        xb += r_g
-        np.subtract(swarm.local_best[rows], fb, out=gb)
-        r_l *= cfg.learn_local
-        r_l *= gb
-        xb += r_l
-        fb += xb
+    if getattr(swarm.draw_buffers, "shape", None) != (2,) + f.shape:
+        swarm.draw_buffers = np.empty((2,) + f.shape)
+    draw, gap = swarm.draw_buffers
+    # x = mu x + c1 r1 (g - f) + c2 r2 (l - f), each product formed in the
+    # draw's buffer; c r = r c, so the bits are those of the plain expression.
+    # r_local is drawn after r_global is spent, in the order of two draws.
+    rng.random(out=draw)
+    x *= cfg.inertia
+    np.subtract(swarm.global_best[:, None], f, out=gap)
+    draw *= cfg.learn_global
+    draw *= gap
+    x += draw
+    rng.random(out=draw)
+    np.subtract(swarm.local_best, f, out=gap)
+    draw *= cfg.learn_local
+    draw *= gap
+    x += draw
+    f += x
     constraints_check(
         f, scenario.n_antennas, scenario.n_users, scenario.total_power, rng
     )

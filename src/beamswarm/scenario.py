@@ -184,8 +184,10 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, **kwargs):
         if m_total is not None:
             raise ValueError("pass either m_total or uc_per_ris, not both")
     else:
+        m_total = 128 if m_total is None else m_total
+        _require_int("m_total", m_total)
         n_ris = kwargs.get("n_ris", ScenarioConfig.n_ris)
-        kwargs["uc_per_ris"] = even_split(128 if m_total is None else m_total, n_ris)
+        kwargs["uc_per_ris"] = even_split(m_total, n_ris)
     return ScenarioConfig(
         total_power=total_power, noise_variance=noise_variance, **kwargs
     )
@@ -301,9 +303,12 @@ def derive_stream(seed, *key):
     """Deterministic per-task random stream from a seed and an index key.
 
     Streams built from distinct keys are independent, so trials can run in
-    any order (or concurrently) without changing results.
+    any order (or concurrently) without changing results. The seed and the
+    key entries must be integers; a float raises TypeError rather than
+    being truncated.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+    entropy = [operator.index(v) for v in (seed, *key)]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def derive_seed(seed, *key):
@@ -312,5 +317,5 @@ def derive_seed(seed, *key):
     Composes with :func:`derive_stream`: a config reseeded with a derived
     seed still yields order-independent per-trial streams.
     """
-    sequence = np.random.SeedSequence([int(seed), *map(int, key)])
-    return int(sequence.generate_state(1, np.uint64)[0])
+    entropy = [operator.index(v) for v in (seed, *key)]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

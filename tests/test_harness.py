@@ -17,7 +17,7 @@ from beamswarm.harness import (
     summary_path_for,
 )
 from beamswarm.pso import PsoConfig
-from beamswarm.scenario import ScenarioConfig, derive_seed, make_config
+from beamswarm.scenario import ScenarioConfig, derive_seed, derive_stream, make_config
 
 
 def _base_scenario(seed=11):
@@ -229,6 +229,9 @@ _BOOL_SIZES = {  # case: (build, the field the message names)
                                     r"sweep_values\[0\]"),
     "ExperimentSpec.n_trials": (lambda: _spec(n_trials=True), "n_trials"),
     "jobs": (lambda: run_sweep(_spec(), jobs=True), "jobs"),
+    "run_trial.trial_index": (
+        lambda: run_trial(_base_scenario(), _base_pso(), True), "trial_index"),
+    "make_config.m_total": (lambda: make_config(n_ris=1, m_total=True), "m_total"),
 }
 
 
@@ -237,6 +240,30 @@ def test_booleans_are_not_sizes(case):
     build, field = _BOOL_SIZES[case]
     match = rf"^{field} must be an integer \(got (True|False)\)$"
     with pytest.raises(ValueError, match=match):
+        build()
+
+
+_NOT_INDICES = {  # case: (build, exception, message)
+    "trial_index_float": (lambda: run_trial(_base_scenario(), _base_pso(), 2.7),
+                          ValueError, r"^trial_index must be an integer \(got 2\.7\)$"),
+    "trial_index_negative": (lambda: run_trial(_base_scenario(), _base_pso(), -1),
+                             ValueError, r"^trial_index must be >= 0 \(got -1\)$"),
+    "trial_index_str": (lambda: run_trial(_base_scenario(), _base_pso(), "3"),
+                        ValueError, r"^trial_index must be an integer \(got '3'\)$"),
+    "derive_stream_float": (lambda: derive_stream(1.9), TypeError, "float"),
+    "m_total_float": (lambda: make_config(m_total=16.5), ValueError,
+                      r"^m_total must be an integer \(got 16\.5\)$"),
+    "m_total_nan": (lambda: make_config(m_total=float("nan")), ValueError,
+                    r"^m_total must be an integer \(got nan\)$"),
+    "m_total_str": (lambda: make_config(m_total="64"), ValueError,
+                    r"^m_total must be an integer \(got '64'\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_INDICES))
+def test_non_integral_indices_are_rejected_not_truncated(case):
+    build, error, match = _NOT_INDICES[case]
+    with pytest.raises(error, match=match):
         build()
 
 

@@ -7,7 +7,6 @@ from beamswarm.channel import (
     realize_channels,
     to_beamspace,
 )
-from beamswarm import linkrate
 from beamswarm.linkrate import (
     RateReport,
     SumRateEvaluator,
@@ -688,13 +687,3 @@ def test_beamspace_channels_returns_a_new_array():
     second = ev.beamspace_channels(other, np.sort(other_sets, axis=0))
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
-
-
-@pytest.mark.parametrize("shape", [(1024, 50), (200, 64), (3, 40_000), (70_000,)])
-def test_unit_phasors_in_row_blocks_match_one_pass(shape, monkeypatch):
-    # several blocks, uneven last block, rows longer than a block, 1-D
-    phases = derive_stream(26, len(shape)).uniform(-50.0, 50.0, shape)
-    got = _unit_phasors(phases)
-    assert len(linkrate._row_blocks(phases.shape)) > 1
-    monkeypatch.setattr(linkrate, "_BLOCK", phases.size)
-    assert got.tobytes() == _unit_phasors(phases).tobytes()

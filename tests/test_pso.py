@@ -475,13 +475,11 @@ def _edge_phases():
 
 class TestAgainstReplacedFormulas:
     def test_phase_wrap_has_the_bits_of_np_mod(self):
-        # a vector, then (rows, A) matrices of several row blocks with a short
-        # last one; np.resize repeats the values to fill whole rows
+        # np.resize repeats the values to fill whole rows
         values = _edge_phases()
         for a in (None, 50, 7, 20_000):
             rows = -(-values.size // (a or 1))
             block = values if a is None else np.resize(values, (rows, a))
-            assert len(linkrate._row_blocks(block.shape)) > 1
             got = project_phases(block.copy(), 0, 0)
             want = mod_phases(block.copy(), 0, 0)
             assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ here
@@ -513,15 +511,12 @@ class TestAgainstReplacedFormulas:
         assert np.array_equal(swarm.local_best, swarm.personal_best[:, pick])
 
     def test_velocity_step_has_the_bits_of_the_allocating_expression(self):
-        # one row block, then populations of several with a short last one
         for m_total, a in ((8, 6), (1024, 50), (300, 37)):
             cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=m_total,
                               n_selected_beams=4)
             pcfg = PsoConfig(n_particles=a, inertia=0.3, learn_global=1.7,
                              learn_local=2.9)
             swarm = init_swarm(cfg, pcfg, derive_stream(24, 1))
-            blocks = len(linkrate._row_blocks(swarm.population.shape))
-            assert (blocks > 1) == (m_total > 8)
             swarm.quality = derive_stream(24, 2).random(a)
             update_bests(swarm)
             swarm.velocity = derive_stream(24, 3).normal(size=swarm.velocity.shape)
