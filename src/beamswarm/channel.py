@@ -22,8 +22,7 @@ def steering(theta, n_elements):
     has unit Euclidean norm. A scalar ``theta`` gives one vector; an array of
     shape S gives shape (n_elements, *S), one vector per column.
     """
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
+    scenario._require_int("n_elements", n_elements, 1)
     i = np.arange(n_elements).reshape((-1,) + (1,) * np.ndim(theta))
     return np.exp(-2j * np.pi * i * np.asarray(theta)) / np.sqrt(n_elements)
 
@@ -86,8 +85,7 @@ def dft_matrix(n):
     """Lens beamforming matrix: steering-vector columns on the uniform
     spatial-frequency grid of spacing ``1/n``. Unitary; cached per size.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    scenario._require_int("n", n, 1)
     return _dft_matrix_cached(int(n))
 
 
@@ -130,10 +128,6 @@ class ChannelSet:
         return self.ris_ue[0].shape[1]
 
     @property
-    def n_ris(self):
-        return len(self.bs_ris)
-
-    @property
     def uc_per_ris(self):
         return tuple(g.shape[0] for g in self.ris_ue)
 
@@ -172,16 +166,15 @@ def to_beamspace(h_bar, u):
     return u @ h_bar
 
 
-def realize_channels(config, rng, layout=None):
+def realize_channels(config, rng):
     """Draw one full channel realization for a scenario.
 
-    Places the nodes (unless a layout is given), draws path gains from the
-    link geometry and path angles from their configured distributions, and
-    assembles the per-surface matrices. Draw order is fixed, so one seed
-    reproduces the realization bit for bit.
+    Places the nodes, draws path gains from the link geometry and path
+    angles from their configured distributions, and assembles the
+    per-surface matrices. Draw order is fixed, so one seed reproduces the
+    realization bit for bit.
     """
-    if layout is None:
-        layout = scenario.place_nodes(config, rng)
+    layout = scenario.place_nodes(config, rng)
     angles = scenario.draw_angles(config, rng)
 
     f_c = config.carrier_freq_ghz

@@ -47,10 +47,8 @@ class ExperimentSpec:
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
         for i, value in enumerate(self.sweep_values):
-            _require_int(f"sweep_values[{i}]", value)
-        _require_int("n_trials", self.n_trials)
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1 (got {self.n_trials})")
+            _require_int(f"sweep_values[{i}]", value, None)
+        _require_int("n_trials", self.n_trials, 1)
         for value in self.sweep_values:
             derive_configs(self, value)  # rejects infeasible derived configs
 
@@ -99,9 +97,7 @@ def run_trial(scenario, pso_cfg, trial_index):
     Returns (optimized sum rate, random-initialization baseline, trace);
     the baseline is trace index 0.
     """
-    _require_int("trial_index", trial_index)
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0 (got {trial_index})")
+    _require_int("trial_index", trial_index, 0)
     channel_rng = derive_stream(scenario.rng_seed, _CHANNEL_TAG, trial_index)
     channels = realize_channels(scenario, channel_rng)
     swarm_rng = derive_stream(pso_cfg.rng_seed, _SWARM_TAG, trial_index)
@@ -130,9 +126,7 @@ def _value_tasks(spec):
 
 
 def _run_tasks(tasks, jobs):
-    _require_int("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1 (got {jobs})")
+    _require_int("jobs", jobs, 1)
     workers = min(jobs, len(tasks))  # a pool never starts idle workers
     if workers <= 1:
         return [_trial_trace(task) for task in tasks]
@@ -165,10 +159,10 @@ def run_sweep(spec, jobs=1):
     )
 
 
-def iterations_to_fraction(trace, fraction=0.95):
-    """First iteration index where the trace reaches fraction * final value."""
+def iterations_to_fraction(trace):
+    """First iteration index where the trace reaches 95 % of its final value."""
     trace = np.asarray(trace)
-    return int(np.argmax(trace >= fraction * trace[-1]))
+    return int(np.argmax(trace >= 0.95 * trace[-1]))
 
 
 def _fmt(x):

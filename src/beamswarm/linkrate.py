@@ -33,19 +33,14 @@ _TABLE = np.exp(1j * (np.arange(_TABLE_SIZE) * _STEP_HI)) * np.exp(
 )
 
 
-def _unit_phasors(phases, out=None, scratch=None):
+def _unit_phasors(phases, out, scratch):
     """exp(1j * phases) for finite |phases| <= _PHASE_BOUND, to 1e-15.
 
     A table lookup times a short Taylor series in the remainder b, with
     |b| <= pi/2^10: cos to b^4 and sin to b^5 leave errors below 1e-17.
     Writes into ``out`` (complex, the shape of ``phases``) and works in
-    ``scratch``, a float array of shape ``(3,) + phases.shape``; either is
-    allocated when absent.
+    ``scratch``, a float array of shape ``(3,) + phases.shape``.
     """
-    if out is None:
-        out = np.empty(phases.shape, dtype=complex)
-    if scratch is None:
-        scratch = np.empty((3,) + phases.shape)
     k, b, sin = scratch
     np.multiply(phases, _STEPS_PER_RAD, out=k)
     np.rint(k, out=k)

@@ -32,21 +32,18 @@ class PsoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_particles", "n_iterations", "rng_seed"):
-            _require_int(name, getattr(self, name))
+        for name, minimum in (("n_particles", None), ("n_iterations", 1),
+                              ("rng_seed", 0)):
+            _require_int(name, getattr(self, name), minimum)
         if self.n_particles < 3:
             raise ValueError(
                 "n_particles must be >= 3: the ring topology needs two "
                 f"distinct neighbors (got {self.n_particles})"
             )
-        if self.n_iterations < 1:
-            raise ValueError(f"n_iterations must be >= 1 (got {self.n_iterations})")
         for name in ("inertia", "learn_global", "learn_local"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0 (got {value})")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be nonnegative (got {self.rng_seed})")
 
 
 @dataclass(frozen=True)
@@ -70,22 +67,19 @@ class Swarm:
     local_best: np.ndarray  # (N_v, A), the better ring neighbor's personal best
     global_best: np.ndarray  # (N_v,)
     global_best_value: float
-    # the velocity step's (N_v, A) draw and gap; allocated by the first step
-    draw_buffers: np.ndarray | None = None
+    draw_buffers: np.ndarray  # (2, N_v, A): the velocity step's draw and gap
 
 
-def project_beams(column, n_antennas, rng=None):
+def project_beams(column, n_antennas, rng):
     """Map the beam block to [0, 1] with max exactly 1, in place.
 
     Works on a single column or a matrix of columns. An all-zero block is
-    restarted uniformly at random (requires ``rng``) before normalizing.
+    restarted uniformly at random from ``rng`` before normalizing.
     """
     block = column[:n_antennas].reshape(n_antennas, -1)  # a column is (N, 1)
     np.abs(block, out=block)
     peak = block.max(axis=0, keepdims=True)
     if (peak == 0.0).any():
-        if rng is None:
-            raise ValueError("all-zero beam block needs an rng for the random restart")
         dead = np.flatnonzero(peak[0] == 0.0)
         block[:, dead] = rng.random((n_antennas, dead.size))
         peak = block.max(axis=0, keepdims=True)
@@ -120,7 +114,7 @@ def project_phases(column, n_antennas, n_users):
     return column
 
 
-def constraints_check(column, n_antennas, n_users, total_power, rng=None):
+def constraints_check(column, n_antennas, n_users, total_power, rng):
     """Apply all three projections to a column or a matrix of columns."""
     project_beams(column, n_antennas, rng)
     project_powers(column, n_antennas, n_users, total_power)
@@ -147,6 +141,7 @@ def init_swarm(scenario, pso_cfg, rng):
         local_best=np.zeros((n_vars, a)),
         global_best=np.zeros(n_vars),
         global_best_value=-np.inf,
+        draw_buffers=np.empty((2, n_vars, a)),
     )
 
 
@@ -206,8 +201,6 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     if not np.isfinite(swarm.global_best_value):
         raise ValueError("update_bests must run before the velocity update")
     f, x = swarm.population, swarm.velocity
-    if getattr(swarm.draw_buffers, "shape", None) != (2,) + f.shape:
-        swarm.draw_buffers = np.empty((2,) + f.shape)
     draw, gap = swarm.draw_buffers
     # x = mu x + c1 r1 (g - f) + c2 r2 (l - f), each product formed in the
     # draw's buffer; c r = r c, so the bits are those of the plain expression.

@@ -25,17 +25,20 @@ def watts_to_dbm(x_watts):
     return 10.0 * math.log10(x_watts) + 30.0
 
 
-def _require_int(name, value):
-    """Reject a non-integral size, count or seed, naming the field.
+def _require_int(name, value, minimum):
+    """Reject a non-integral size, count, seed or index, or one below
+    ``minimum`` (``None`` where another check bounds it), naming the field.
 
     ``operator.index`` accepts ``True`` and ``False``; they are rejected too.
     """
     try:
         if isinstance(value, bool):
             raise TypeError
-        operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer (got {value!r})") from None
+    if minimum is not None and index < minimum:
+        raise ValueError(f"{name} must be >= {minimum} (got {index})")
 
 
 def _require_finite(name, value):
@@ -65,6 +68,7 @@ def even_split(m_total, n_ris):
 
     The first ``m_total % n_ris`` surfaces receive one extra cell.
     """
+    _require_int("n_ris", n_ris, 1)
     if m_total < n_ris:
         raise ValueError(f"m_total must be >= n_ris (got {m_total} < {n_ris})")
     base, extra = divmod(m_total, n_ris)
@@ -121,29 +125,20 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_antennas", "n_users", "n_ris", "n_nlos_paths",
-                     "n_selected_beams", "rng_seed"):
-            _require_int(name, getattr(self, name))
+        for name, minimum in (("n_antennas", 1), ("n_users", 1), ("n_ris", 1),
+                              ("n_nlos_paths", 0), ("n_selected_beams", None),
+                              ("rng_seed", 0)):
+            _require_int(name, getattr(self, name), minimum)
         for j, m in enumerate(self.uc_per_ris):
-            _require_int(f"uc_per_ris[{j}]", m)
+            _require_int(f"uc_per_ris[{j}]", m, 1)
         for name in ("total_power", "noise_variance", "carrier_freq_ghz",
                      "cell_radius_m", "ue_ring_min_m", "ue_ring_max_m"):
             _require_finite(name, getattr(self, name))
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be a positive integer")
-        if self.n_users < 1:
-            raise ValueError("n_users must be a positive integer")
-        if self.n_ris < 1:
-            raise ValueError("n_ris must be a positive integer")
         if len(self.uc_per_ris) != self.n_ris:
             raise ValueError(
                 f"uc_per_ris must list one cell count per surface "
                 f"(got {len(self.uc_per_ris)} entries for n_ris={self.n_ris})"
             )
-        if any(m < 1 for m in self.uc_per_ris):
-            raise ValueError("every uc_per_ris entry must be >= 1")
-        if self.n_nlos_paths < 0:
-            raise ValueError("n_nlos_paths must be non-negative")
         if not self.n_users <= self.n_selected_beams <= self.n_antennas:
             raise ValueError(
                 f"n_selected_beams must satisfy n_users <= n_selected_beams "
@@ -156,8 +151,6 @@ class ScenarioConfig:
             raise ValueError("noise_variance must be > 0 W")
         if self.carrier_freq_ghz <= 0.0:
             raise ValueError("carrier_freq_ghz must be > 0")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be nonnegative (got {self.rng_seed})")
         # A degenerate ring (min == max) is allowed; it pins users to a circle.
         if not 0.0 < self.ue_ring_min_m <= self.ue_ring_max_m <= self.cell_radius_m:
             raise ValueError(
@@ -185,7 +178,7 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, **kwargs):
             raise ValueError("pass either m_total or uc_per_ris, not both")
     else:
         m_total = 128 if m_total is None else m_total
-        _require_int("m_total", m_total)
+        _require_int("m_total", m_total, None)
         n_ris = kwargs.get("n_ris", ScenarioConfig.n_ris)
         kwargs["uc_per_ris"] = even_split(m_total, n_ris)
     return ScenarioConfig(
@@ -299,16 +292,27 @@ def draw_angles(config, rng):
     )
 
 
+def _entropy(seed, key):
+    """``[seed, *key]`` as SeedSequence entropy, each entry an integer >= 0.
+
+    A float raises TypeError rather than being truncated; a negative entry
+    raises ValueError naming ``seed`` or ``key[i]``.
+    """
+    entropy = [operator.index(v) for v in (seed, *key)]
+    for i, v in enumerate(entropy):
+        _require_int("seed" if i == 0 else f"key[{i - 1}]", v, 0)
+    return entropy
+
+
 def derive_stream(seed, *key):
     """Deterministic per-task random stream from a seed and an index key.
 
     Streams built from distinct keys are independent, so trials can run in
     any order (or concurrently) without changing results. The seed and the
-    key entries must be integers; a float raises TypeError rather than
+    key entries must be integers >= 0; a float raises TypeError rather than
     being truncated.
     """
-    entropy = [operator.index(v) for v in (seed, *key)]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(_entropy(seed, key)))
 
 
 def derive_seed(seed, *key):
@@ -317,5 +321,5 @@ def derive_seed(seed, *key):
     Composes with :func:`derive_stream`: a config reseeded with a derived
     seed still yields order-independent per-trial streams.
     """
-    entropy = [operator.index(v) for v in (seed, *key)]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    state = np.random.SeedSequence(_entropy(seed, key)).generate_state(1, np.uint64)
+    return int(state[0])

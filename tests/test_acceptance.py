@@ -20,7 +20,7 @@ from beamswarm.channel import (
     to_beamspace,
 )
 from beamswarm.cli import main
-from beamswarm.harness import run_trial, summary_path_for
+from beamswarm.harness import _run_tasks, summary_path_for
 from beamswarm.linkrate import SumRateEvaluator, evaluate_solution, sum_rate
 from beamswarm.pso import PsoConfig, Solution, optimize, top_beam_indices
 from beamswarm.scenario import derive_seed, derive_stream, make_config
@@ -43,11 +43,13 @@ def _mc_point(n_users, n_selected, m_total):
             rng_seed=derive_seed(101, *key),
         )
         pso_cfg = PsoConfig(rng_seed=derive_seed(202, *key))
-        runs = [run_trial(scenario, pso_cfg, t) for t in range(N_TRIALS)]
+        # run_trial's rate and baseline are its trace's last and first entries
+        tasks = [(scenario, pso_cfg, t) for t in range(N_TRIALS)]
+        traces = _run_tasks(tasks, jobs=2)
         _MC_CACHE[key] = {
-            "rates": np.array([r[0] for r in runs]),
-            "baselines": np.array([r[1] for r in runs]),
-            "traces": [r[2] for r in runs],
+            "rates": np.array([trace[-1] for trace in traces]),
+            "baselines": np.array([trace[0] for trace in traces]),
+            "traces": traces,
         }
     return _MC_CACHE[key]
 

@@ -12,7 +12,7 @@ from beamswarm.channel import (
     steering,
     to_beamspace,
 )
-from beamswarm.scenario import derive_stream, make_config, place_nodes
+from beamswarm.scenario import derive_stream, make_config
 
 
 class TestSteering:
@@ -158,7 +158,6 @@ class TestChannelSet:
         ch = realize_channels(cfg, derive_stream(0, 0))
         assert ch.n_antennas == 8
         assert ch.n_users == 2
-        assert ch.n_ris == 2
         assert ch.uc_per_ris == (3, 3)
         assert ch.total_uc == 6
         with pytest.raises(ValueError):
@@ -268,13 +267,6 @@ class TestRealizeChannels:
             assert np.array_equal(a.bs_ris[j], b.bs_ris[j])
             assert np.array_equal(a.ris_ue[j], b.ris_ue[j])
         assert not np.array_equal(a.bs_ris[0], c.bs_ris[0])
-
-    def test_layout_override(self):
-        cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=6,
-                          n_selected_beams=4)
-        layout = place_nodes(cfg, derive_stream(4, 0))
-        ch = realize_channels(cfg, derive_stream(4, 1), layout=layout)
-        assert ch.n_antennas == 8
 
     def test_magnitudes_track_path_loss(self):
         # LoS-only single-path channel: |C| entries equal the LoS amplitude

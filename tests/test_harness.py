@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamswarm import harness
+from beamswarm.channel import dft_matrix, steering
 from beamswarm.harness import (
     ExperimentSpec,
     SweepResult,
@@ -243,6 +244,38 @@ def test_booleans_are_not_sizes(case):
         build()
 
 
+# each integer field one below its minimum
+_BELOW_MINIMUM = {  # case: (build, the field the message names, min, value)
+    "ScenarioConfig.n_antennas": (lambda: ScenarioConfig(n_antennas=0),
+                                  "n_antennas", 1, 0),
+    "ScenarioConfig.n_users": (lambda: ScenarioConfig(n_users=0), "n_users", 1, 0),
+    "ScenarioConfig.n_ris": (lambda: ScenarioConfig(n_ris=0), "n_ris", 1, 0),
+    "make_config.n_ris": (lambda: make_config(n_ris=0), "n_ris", 1, 0),
+    "ScenarioConfig.uc_per_ris": (
+        lambda: make_config(n_ris=2, uc_per_ris=(16, 0)), r"uc_per_ris\[1\]", 1, 0),
+    "ScenarioConfig.n_nlos_paths": (lambda: make_config(n_nlos_paths=-1),
+                                    "n_nlos_paths", 0, -1),
+    "ScenarioConfig.rng_seed": (lambda: make_config(rng_seed=-1), "rng_seed", 0, -1),
+    "PsoConfig.n_iterations": (lambda: PsoConfig(n_iterations=0),
+                               "n_iterations", 1, 0),
+    "PsoConfig.rng_seed": (lambda: PsoConfig(rng_seed=-1), "rng_seed", 0, -1),
+    "ExperimentSpec.n_trials": (lambda: _spec(n_trials=0), "n_trials", 1, 0),
+    "run_trial.trial_index": (
+        lambda: run_trial(_base_scenario(), _base_pso(), -1), "trial_index", 0, -1),
+    "jobs": (lambda: run_sweep(_spec(), jobs=0), "jobs", 1, 0),
+    "steering.n_elements": (lambda: steering(0.0, 0), "n_elements", 1, 0),
+    "dft_matrix.n": (lambda: dft_matrix(0), "n", 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_BELOW_MINIMUM))
+def test_integer_bounds_name_the_field(case):
+    build, field, minimum, value = _BELOW_MINIMUM[case]
+    match = rf"^{field} must be >= {minimum} \(got {value}\)$"
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 _NOT_INDICES = {  # case: (build, exception, message)
     "trial_index_float": (lambda: run_trial(_base_scenario(), _base_pso(), 2.7),
                           ValueError, r"^trial_index must be an integer \(got 2\.7\)$"),
@@ -251,12 +284,27 @@ _NOT_INDICES = {  # case: (build, exception, message)
     "trial_index_str": (lambda: run_trial(_base_scenario(), _base_pso(), "3"),
                         ValueError, r"^trial_index must be an integer \(got '3'\)$"),
     "derive_stream_float": (lambda: derive_stream(1.9), TypeError, "float"),
+    "derive_seed_float_key": (lambda: derive_seed(0, 2.5), TypeError, "float"),
+    "derive_stream_negative_key": (lambda: derive_stream(0, -1), ValueError,
+                                   r"^key\[0\] must be >= 0 \(got -1\)$"),
+    "derive_stream_negative_seed": (lambda: derive_stream(-2, 0, 1), ValueError,
+                                    r"^seed must be >= 0 \(got -2\)$"),
+    "derive_seed_negative_seed": (lambda: derive_seed(-3, 0), ValueError,
+                                  r"^seed must be >= 0 \(got -3\)$"),
+    "derive_seed_negative_key": (lambda: derive_seed(0, 1, -4), ValueError,
+                                 r"^key\[1\] must be >= 0 \(got -4\)$"),
     "m_total_float": (lambda: make_config(m_total=16.5), ValueError,
                       r"^m_total must be an integer \(got 16\.5\)$"),
     "m_total_nan": (lambda: make_config(m_total=float("nan")), ValueError,
                     r"^m_total must be an integer \(got nan\)$"),
     "m_total_str": (lambda: make_config(m_total="64"), ValueError,
                     r"^m_total must be an integer \(got '64'\)$"),
+    "n_ris_float": (lambda: make_config(n_ris=2.5), ValueError,
+                    r"^n_ris must be an integer \(got 2\.5\)$"),
+    "dft_matrix_float": (lambda: dft_matrix(4.5), ValueError,
+                         r"^n must be an integer \(got 4\.5\)$"),
+    "steering_float": (lambda: steering(0.0, 3.0), ValueError,
+                       r"^n_elements must be an integer \(got 3\.0\)$"),
 }
 
 
@@ -363,7 +411,3 @@ class TestIterationsToFraction:
 
     def test_flat_trace_crosses_immediately(self):
         assert iterations_to_fraction(np.array([2.0, 2.0, 2.0])) == 0
-
-    def test_custom_fraction(self):
-        trace = np.array([0.0, 5.0, 9.5, 10.0])
-        assert iterations_to_fraction(trace, fraction=0.5) == 1

@@ -624,8 +624,9 @@ def test_unit_phasors_match_exp_up_to_the_phase_bound():
         [0.0, -0.0, 2 * np.pi, np.nextafter(2 * np.pi, 0.0), 1e-300, -5e-17,
          bound, -bound],
     ]).reshape(-1, 7)
-    got = _unit_phasors(phases)
-    assert got.shape == phases.shape and got.dtype == complex
+    out = np.empty(phases.shape, dtype=complex)
+    got = _unit_phasors(phases, out, np.empty((3,) + phases.shape))
+    assert got is out
     assert np.abs(got - np.exp(1j * phases)).max() <= 1e-15
 
 

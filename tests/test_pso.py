@@ -112,20 +112,20 @@ class TestPsoConfig:
 class TestProjections:
     def test_beams_normalize_by_max_magnitude(self):
         col = np.array([0.2, -0.8, 0.4])
-        project_beams(col, 3)
+        project_beams(col, 3, np.random.default_rng(0))
         assert col == pytest.approx([0.25, 1.0, 0.5])
         assert col.max() == 1.0
 
     def test_beams_single_entry(self):
         col = np.array([5.0])
-        project_beams(col, 1)
+        project_beams(col, 1, np.random.default_rng(0))
         assert col == pytest.approx([1.0])
 
     def test_beams_idempotent(self):
         rng = np.random.default_rng(0)
         col = rng.normal(size=6)
-        once = project_beams(col.copy(), 6)
-        twice = project_beams(once.copy(), 6)
+        once = project_beams(col.copy(), 6, rng)
+        twice = project_beams(once.copy(), 6, rng)
         assert np.array_equal(once, twice)
 
     def test_beams_zero_block_restart(self):
@@ -134,8 +134,6 @@ class TestProjections:
         project_beams(col, 4, rng)
         assert np.all(col >= 0.0) and np.all(col <= 1.0)
         assert col.max() == 1.0
-        with pytest.raises(ValueError, match="rng"):
-            project_beams(np.zeros(4), 4)
 
     def test_column_restart_draws_like_a_one_column_matrix(self):
         col = np.zeros(4)
@@ -184,7 +182,7 @@ class TestProjections:
     def test_blocks_do_not_leak(self):
         # one full column: 2 beams, 2 powers, 2 phases
         col = np.array([0.5, -2.0, 1.0, 3.0, -1.0, 9.0])
-        constraints_check(col, 2, 2, 8.0)
+        constraints_check(col, 2, 2, 8.0, np.random.default_rng(0))
         assert col[:2] == pytest.approx([0.25, 1.0])
         assert col[2:4] == pytest.approx([2.0, 6.0])
         assert col[4] == pytest.approx(TWO_PI - 1.0)
@@ -275,6 +273,7 @@ def _toy_swarm(population, quality):
         local_best=np.zeros((n_vars, a)),
         global_best=np.zeros(n_vars),
         global_best_value=-np.inf,
+        draw_buffers=np.empty((2, n_vars, a)),
     )
 
 
@@ -379,6 +378,23 @@ class TestVelocityUpdate:
         swarm.global_best_value = 1.0
         update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(before, rel=1e-12)
+
+    def test_steps_write_into_the_buffers_of_init_swarm(self):
+        cfg = make_config(n_antennas=4, n_users=2, n_ris=1, m_total=4,
+                          n_selected_beams=2)
+        pcfg = PsoConfig(n_particles=5)
+        rng = np.random.default_rng(8)
+        swarm = init_swarm(cfg, pcfg, rng)
+        buffers = swarm.draw_buffers
+        assert isinstance(buffers, np.ndarray)
+        assert buffers.shape == (2, 4 + 2 + 4, 5)
+        swarm.quality = rng.random(5)
+        update_bests(swarm)
+        for _ in range(3):
+            before = buffers.copy()
+            update_velocity_and_position(swarm, cfg, pcfg, rng)
+            assert swarm.draw_buffers is buffers
+            assert not np.array_equal(buffers, before)
 
     def test_requires_bests(self):
         cfg = make_config(n_antennas=4, n_users=2, n_ris=1, m_total=4,
