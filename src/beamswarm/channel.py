@@ -35,11 +35,12 @@ def _path_weights(amplitude, n_paths):
 
 
 def ris_ue_channel(gains, thetas, n_uc):
-    """Channel vector from one surface to one user.
+    """Channel vectors from one surface to its users.
 
-    ``gains``/``thetas`` hold the direct path at index 0 followed by the
-    scattered paths; ``thetas`` are spatial frequencies at the surface.
-    Returns a complex vector of length ``n_uc``.
+    ``gains``/``thetas`` have shape (..., P): per link, the direct path at
+    index 0, then the scattered paths; ``thetas`` are spatial frequencies
+    at the surface. Returns the complex ``(n_uc, ...)`` channels, so a
+    (K, P) input gives one column per user and a (P,) input one vector.
     """
     gains = np.asarray(gains)
     thetas = np.asarray(thetas)
@@ -48,8 +49,11 @@ def ris_ue_channel(gains, thetas, n_uc):
             f"gains and thetas must pair up one per path "
             f"(got {gains.shape} vs {thetas.shape})"
         )
-    w = _path_weights(np.sqrt(n_uc), gains.size - 1)
-    return steering(thetas, n_uc) @ (w * gains)
+    w = _path_weights(np.sqrt(n_uc), gains.shape[-1] - 1)
+    # one (n_uc, P) @ (P, 1) product per link, so a column matches its (P,)
+    # call bit for bit; a sum over the path axis rounds apart for P >= 4
+    a = np.moveaxis(steering(thetas, n_uc), 0, -2)
+    return np.moveaxis((a @ (w * gains)[..., None])[..., 0], -1, 0)
 
 
 def bs_ris_channel(gains, dep_thetas, arr_thetas, n_antennas, n_uc):
@@ -169,56 +173,22 @@ def to_beamspace(h_bar, u):
 def realize_channels(config, rng):
     """Draw one full channel realization for a scenario.
 
-    Places the nodes, draws path gains from the link geometry and path
-    angles from their configured distributions, and assembles the
-    per-surface matrices. Draw order is fixed, so one seed reproduces the
-    realization bit for bit.
+    Places the nodes, draws path angles from their configured distributions
+    and path gains from the link geometry (all surface links, then all
+    user links surface by surface), and assembles the per-surface matrices.
+    Draw order is fixed, so one seed reproduces the realization bit for bit.
     """
     layout = scenario.place_nodes(config, rng)
     angles = scenario.draw_angles(config, rng)
-
-    f_c = config.carrier_freq_ghz
-    n_path = config.n_nlos_paths + 1
-
-    def link_gains(distance):
-        g = np.empty(n_path, dtype=complex)
-        g[0] = scenario.draw_path_gain(distance, f_c, True, rng)
-        for l in range(1, n_path):
-            g[l] = scenario.draw_path_gain(distance, f_c, False, rng)
-        return g
-
-    d_bs_ris = layout.bs_ris_distances()
-    d_ris_ue = layout.ris_ue_distances()
-    bs_gains = [link_gains(d_bs_ris[j]) for j in range(config.n_ris)]
-    ue_gains = [
-        [link_gains(d_ris_ue[j, k]) for k in range(config.n_users)]
-        for j in range(config.n_ris)
-    ]
-
-    freq = scenario.spatial_frequency
-    bs_ris = []
-    ris_ue = []
-    for j, m_j in enumerate(config.uc_per_ris):
-        bs_ris.append(
-            bs_ris_channel(
-                bs_gains[j],
-                freq(angles.bs_departure[j]),
-                freq(angles.ris_arrival[j]),
-                config.n_antennas,
-                m_j,
-            )
-        )
-        g_j = np.column_stack(
-            [
-                ris_ue_channel(ue_gains[j][k], freq(angles.ris_departure[j, k]), m_j)
-                for k in range(config.n_users)
-            ]
-        )
-        ris_ue.append(g_j)
-
+    f_c, n_p = config.carrier_freq_ghz, config.n_nlos_paths
+    bs_gains = scenario.draw_path_gains(layout.bs_ris_distances(), f_c, n_p, rng)
+    ue_gains = scenario.draw_path_gains(layout.ris_ue_distances(), f_c, n_p, rng)
+    dep, arr, ue_dep = map(scenario.spatial_frequency, (
+        angles.bs_departure, angles.ris_arrival, angles.ris_departure))
     return ChannelSet(
-        bs_ris=tuple(bs_ris),
-        ris_ue=tuple(ris_ue),
+        bs_ris=[bs_ris_channel(bs_gains[j], dep[j], arr[j], config.n_antennas, m_j)
+                for j, m_j in enumerate(config.uc_per_ris)],
+        ris_ue=[ris_ue_channel(ue_gains[j], ue_dep[j], m_j)
+                for j, m_j in enumerate(config.uc_per_ris)],
         dft_matrix=dft_matrix(config.n_antennas),
     )
-

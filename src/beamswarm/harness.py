@@ -8,7 +8,9 @@ the worker count.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import operator
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,13 +127,58 @@ def _value_tasks(spec):
     return tasks
 
 
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS as a ``ctypes`` library, or None."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            pass
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: run the worker's BLAS on one thread.
+
+    Workers share the cores, so a second BLAS thread per worker only
+    oversubscribes them. Does nothing without the bundled library.
+    """
+    import ctypes
+
+    lib = _bundled_openblas()
+    if not (hasattr(lib, "scipy_openblas_set_num_threads64_")
+            and hasattr(lib, "blas_thread_shutdown_")):
+        return
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    lib.blas_thread_shutdown_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_(1)
+    # setting the count restarts the thread pool that the fork stopped, and
+    # its idle thread spins for about 0.1 s of CPU; at one thread BLAS never
+    # restarts it once it is shut down again
+    lib.blas_thread_shutdown_()
+
+
+def _pool(workers):
+    """A pool of processes that each run BLAS on one thread, forked on Linux
+    whatever the interpreter's default start method."""
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                               initializer=_one_blas_thread)
+
+
 def _run_tasks(tasks, jobs):
     _require_int("jobs", jobs, 1)
     workers = min(jobs, len(tasks))  # a pool never starts idle workers
     if workers <= 1:
         return [_trial_trace(task) for task in tasks]
     # map() preserves submission order, so aggregation ignores completion order
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         return list(pool.map(_trial_trace, tasks))
 
 

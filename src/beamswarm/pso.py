@@ -150,11 +150,20 @@ def top_beam_indices(scores, n_selected):
 
     ``scores`` may be a vector or an (N, A) matrix of non-NaN values;
     selection runs down axis 0 either way and the indices come out sorted.
+    ``n_selected`` is an integer in [1, N].
     """
     scores = np.asarray(scores)
     if scores.dtype.kind not in "biuf":
         raise TypeError(f"scores must be real numbers (got dtype {scores.dtype})")
     n = scores.shape[0]
+    _require_int("n_selected", n_selected, None)
+    if not 1 <= n_selected <= n:
+        raise ValueError(
+            f"n_selected must satisfy 1 <= n_selected <= N "
+            f"(got n_selected={n_selected}, N={n})"
+        )
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     cut = np.partition(scores, n - n_selected, axis=0)[n - n_selected]
     keep = scores > cut
     # fill the rest with the lowest-index scores equal to the cut

@@ -242,17 +242,21 @@ def path_loss_db(distance_m, f_c_ghz, is_los):
     return 32.4 + exponent * np.log10(distance_m) + 20.0 * np.log10(f_c_ghz)
 
 
-def draw_path_gain(distance_m, f_c_ghz, is_los, rng):
-    """Draw one complex path gain.
+def draw_path_gains(distance_m, f_c_ghz, n_nlos_paths, rng):
+    """Draw the complex gain of every path on links of lengths ``distance_m``.
 
-    The amplitude is the linear-scale root of the path loss. A direct path
-    is real-valued; a scattered path carries a uniform random phase
-    ``exp(-2j*pi*v)`` with ``v ~ U[0, 1)``.
+    Returns shape ``distance_m.shape + (n_nlos_paths + 1,)``. Amplitudes are
+    the linear-scale root of the path loss. The direct path at index 0 is
+    real; each scattered path carries a phase ``exp(-2j*pi*v)``, one
+    ``v ~ U[0, 1)`` per path, drawn link by link in C order.
     """
-    amplitude = 10.0 ** (-path_loss_db(distance_m, f_c_ghz, is_los) / 20.0)
-    if is_los:
-        return complex(amplitude)
-    return amplitude * np.exp(-2j * np.pi * rng.random())
+    distance_m = np.asarray(distance_m, dtype=float)
+    # float_power rounds like a scalar power; numpy's SIMD power may not
+    los = np.float_power(10.0, -path_loss_db(distance_m, f_c_ghz, True) / 20.0)
+    nlos = np.float_power(10.0, -path_loss_db(distance_m, f_c_ghz, False) / 20.0)
+    v = rng.random(distance_m.shape + (n_nlos_paths,))
+    return np.concatenate((los[..., None], nlos[..., None] * np.exp(-2j * np.pi * v)),
+                          axis=-1)
 
 
 def spatial_frequency(psi):

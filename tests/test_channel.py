@@ -12,7 +12,7 @@ from beamswarm.channel import (
     steering,
     to_beamspace,
 )
-from beamswarm.scenario import derive_stream, make_config
+from beamswarm.scenario import derive_stream, draw_angles, make_config, place_nodes
 
 
 class TestSteering:
@@ -61,6 +61,18 @@ class TestRisUeChannel:
         for l in range(1, n_p + 1):
             expected += np.sqrt(m / n_p) * gains[l] * steering(thetas[l], m)
         assert ris_ue_channel(gains, thetas, m) == pytest.approx(expected, rel=1e-12)
+        # a (K, P) input gives one column per user, each the 1-D channel
+        k_users = 4
+        shape = (k_users, n_p + 1)
+        gains_k = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        thetas_k = rng.uniform(-0.5, 0.5, shape)
+        g = ris_ue_channel(gains_k, thetas_k, m)
+        assert g.shape == (m, k_users)
+        for k in range(k_users):
+            expected = np.sqrt(m) * gains_k[k, 0] * steering(thetas_k[k, 0], m)
+            for l in range(1, n_p + 1):
+                expected += np.sqrt(m / n_p) * gains_k[k, l] * steering(thetas_k[k, l], m)
+            assert g[:, k] == pytest.approx(expected, rel=1e-12)
 
     def test_triangle_bound(self):
         rng = np.random.default_rng(2)
@@ -248,7 +260,57 @@ class TestToBeamspace:
         assert h.T @ h.conj() == pytest.approx(h_bar.T @ h_bar.conj(), rel=1e-9)
 
 
+def _ula(theta, n):
+    return np.exp(-2j * np.pi * np.arange(n) * theta) / np.sqrt(n)
+
+
+def _amplitude(distance, f_c, exponent):
+    return np.sqrt(10.0 ** (-(32.4 + exponent * np.log10(distance)
+                              + 20.0 * np.log10(f_c)) / 10.0))
+
+
 class TestRealizeChannels:
+    def test_twin_stream_oracle(self):
+        # replay the documented draws on a twin stream and build every
+        # channel matrix path by path
+        cfg = make_config(n_antennas=8, n_users=2, n_ris=2, uc_per_ris=(3, 5),
+                          n_nlos_paths=2, n_selected_beams=4)
+        n, k_users, n_p, f_c = 8, 2, 2, cfg.carrier_freq_ghz
+        stream, twin = derive_stream(21, 0), derive_stream(21, 0)
+        ch = realize_channels(cfg, stream)
+
+        layout = place_nodes(cfg, twin)
+        angles = draw_angles(cfg, twin)
+        v_bs = [[twin.random() for _ in range(n_p)] for _ in range(2)]
+        v_ue = [[[twin.random() for _ in range(n_p)] for _ in range(k_users)]
+                for _ in range(2)]
+
+        def gains(distance, v):
+            return [_amplitude(distance, f_c, 21.0)] + [
+                _amplitude(distance, f_c, 31.9) * np.exp(-2j * np.pi * x) for x in v
+            ]
+
+        for j, m in enumerate(cfg.uc_per_ris):
+            ris = layout.ris_positions[j]
+            g_bs = gains(np.hypot(*ris), v_bs[j])
+            c = np.zeros((n, m), dtype=complex)
+            for l in range(n_p + 1):
+                weight = np.sqrt(n * m) if l == 0 else np.sqrt(n * m / n_p)
+                a_bs = _ula(0.5 * np.sin(angles.bs_departure[j, l]), n)
+                a_ris = _ula(0.5 * np.sin(angles.ris_arrival[j, l]), m)
+                c += weight * g_bs[l] * np.outer(a_bs, a_ris.conj())
+            assert ch.bs_ris[j] == pytest.approx(c, rel=1e-12)
+            for k in range(k_users):
+                g_ue = gains(np.hypot(*(ris - layout.ue_positions[k])), v_ue[j][k])
+                g = np.zeros(m, dtype=complex)
+                for l in range(n_p + 1):
+                    weight = np.sqrt(m) if l == 0 else np.sqrt(m / n_p)
+                    g += weight * g_ue[l] * _ula(
+                        0.5 * np.sin(angles.ris_departure[j, k, l]), m)
+                assert ch.ris_ue[j][:, k] == pytest.approx(g, rel=1e-12)
+        # the realization drew exactly as many uniforms as the replay
+        assert stream.random() == twin.random()
+
     def test_shapes(self):
         cfg = make_config()
         ch = realize_channels(cfg, derive_stream(0, 0))

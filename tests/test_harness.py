@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ from beamswarm.harness import (
 )
 from beamswarm.pso import PsoConfig
 from beamswarm.scenario import ScenarioConfig, derive_seed, derive_stream, make_config
+
+
+def _blas_threads(_):
+    """The worker's BLAS thread count and, where /proc shows it, its number
+    of threads, which an idle BLAS pool would raise."""
+    tasks = "/proc/self/task"
+    n_threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 1
+    return harness._bundled_openblas().scipy_openblas_get_num_threads64_(), n_threads
 
 
 def _base_scenario(seed=11):
@@ -179,10 +188,12 @@ class TestRunSweep:
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         sizes = []
+        options = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
+                options.append(kwargs)
 
             def __enter__(self):
                 return self
@@ -197,6 +208,18 @@ class TestRunSweep:
         run_sweep(_spec(sweep_values=(2,), n_trials=3), jobs=4)
         run_sweep(_spec(), jobs=2)
         assert sizes == [3, 2]
+        assert all(o["initializer"] is harness._one_blas_thread for o in options)
+
+    def test_pool_workers_run_one_blas_thread(self):
+        lib = harness._bundled_openblas()
+        symbols = ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_set_num_threads64_", "blas_thread_shutdown_")
+        if not all(hasattr(lib, name) for name in symbols):
+            pytest.skip("numpy bundles no scipy-openblas thread control")
+        before = lib.scipy_openblas_get_num_threads64_()
+        with harness._pool(2) as pool:
+            assert list(pool.map(_blas_threads, range(2))) == [(1, 1), (1, 1)]
+        assert lib.scipy_openblas_get_num_threads64_() == before
 
     def test_single_trial_has_zero_stderr(self):
         result = run_sweep(_spec(n_trials=1))

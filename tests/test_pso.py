@@ -235,6 +235,23 @@ class TestTopBeamsAndDecode:
         with pytest.raises(TypeError, match="real numbers"):
             top_beam_indices(np.array([1.0 + 1j, 0.5]), 1)
 
+    @pytest.mark.parametrize("n_selected", [5, 0, -1])
+    def test_rejects_selection_size_out_of_range(self, n_selected):
+        with pytest.raises(ValueError, match=rf"n_selected={n_selected}, N=4"):
+            top_beam_indices(np.array([0.1, 0.5, 0.3, 0.9]), n_selected)
+
+    @pytest.mark.parametrize("n_selected", [True, 2.5, np.float64(2.0)])
+    def test_rejects_non_integer_selection_size(self, n_selected):
+        with pytest.raises(ValueError, match="n_selected must be an integer"):
+            top_beam_indices(np.array([0.1, 0.5, 0.3, 0.9]), n_selected)
+
+    def test_rejects_nan_scores(self):
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            top_beam_indices(np.array([0.1, np.nan, 0.3, 0.9]), 2)
+        matrix = np.array([[0.9, 0.1], [0.1, np.nan], [0.8, 0.8]])
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            top_beam_indices(matrix, 2)
+
     def test_matrix_selection(self):
         scores = np.array([[0.9, 0.1], [0.1, 0.9], [0.8, 0.8]])
         idx = top_beam_indices(scores, 2)

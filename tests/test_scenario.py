@@ -8,7 +8,7 @@ from beamswarm.scenario import (
     derive_seed,
     derive_stream,
     draw_angles,
-    draw_path_gain,
+    draw_path_gains,
     even_split,
     make_config,
     path_loss_db,
@@ -195,28 +195,59 @@ class TestPathLoss:
             path_loss_db(30.0, -1.0, False)
 
 
-class TestDrawPathGain:
+class TestDrawPathGains:
+    def test_shape_and_direct_path_first(self):
+        d = np.array([[10.0, 20.0, 30.0], [15.0, 25.0, 35.0]])
+        gains = draw_path_gains(d, 30.0, 2, np.random.default_rng(0))
+        assert gains.shape == (2, 3, 3)
+        los = np.sqrt(10.0 ** (-path_loss_db(d, 30.0, True) / 10.0))
+        nlos = np.sqrt(10.0 ** (-path_loss_db(d, 30.0, False) / 10.0))
+        assert gains[..., 0] == pytest.approx(los, rel=1e-12)
+        assert np.all(gains[..., 0].imag == 0.0)
+        assert np.abs(gains[..., 1:]) == pytest.approx(
+            np.repeat(nlos[..., None], 2, axis=-1), rel=1e-12
+        )
+
     def test_los_known_attenuation(self):
         # distance chosen so the LoS loss is exactly 20 dB -> amplitude 0.1
         d = 10.0 ** ((20.0 - 32.4) / 21.0)
-        gain = draw_path_gain(d, 1.0, True, np.random.default_rng(0))
+        gain = draw_path_gains(d, 1.0, 2, np.random.default_rng(0))[0]
         assert gain == pytest.approx(0.1, rel=1e-9)
         assert gain.imag == 0.0
+
+    def test_direct_path_only_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        gains = draw_path_gains(np.array([30.0, 40.0]), 30.0, 0, rng)
+        assert gains.shape == (2, 1)
+        assert np.all(gains.imag == 0.0)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_one_uniform_per_scattered_path_in_c_order(self):
+        d = np.array([[30.0, 31.0], [32.0, 33.0]])
+        rng = np.random.default_rng(4)
+        gains = draw_path_gains(d, 30.0, 3, rng)
+        twin = np.random.default_rng(4)
+        v = np.array([[[twin.random() for _ in range(3)] for _ in row] for row in d])
+        unit = gains[..., 1:] / np.abs(gains[..., 1:])
+        assert unit == pytest.approx(np.exp(-2j * np.pi * v), rel=1e-12)
+        assert rng.random() == twin.random()
 
     def test_nlos_modulus_independent_of_phase(self):
         rng = np.random.default_rng(1)
         expected = np.sqrt(10.0 ** (-path_loss_db(30.0, 30.0, False) / 10.0))
-        draws = np.array([draw_path_gain(30.0, 30.0, False, rng) for _ in range(100)])
+        draws = draw_path_gains(30.0, 30.0, 100, rng)[1:]
         assert np.abs(draws) == pytest.approx(np.full(100, expected), rel=1e-12)
         assert np.unique(np.angle(draws)).size == 100  # phases really vary
 
     def test_phase_mean_concentration(self):
         rng = np.random.default_rng(2)
         d = 10.0 ** ((20.0 - 32.4) / 21.0)  # unit gains up to the 0.1 scale
-        draws = np.array(
-            [draw_path_gain(d, 1.0, False, rng) for _ in range(100_000)]
-        )
+        draws = draw_path_gains(np.full(100_000, d), 1.0, 1, rng)[:, 1]
         assert np.abs(np.mean(draws / 0.1)) < 0.02
+
+    def test_rejects_non_positive_distance(self):
+        with pytest.raises(ValueError, match="distance_m"):
+            draw_path_gains(np.array([10.0, 0.0]), 30.0, 2, np.random.default_rng(0))
 
 
 class TestAngles:
