@@ -3,8 +3,9 @@
 A particle is one column of the population matrix, laid out as N beam
 scores, then K power entries, then M phase shifts (N_v = N + K + M rows).
 After every move the three projection operators repair the blocks, so the
-swarm only ever scores feasible candidates. Each particle's local best is
-the better of its two ring neighbors (indices wrap, self excluded).
+swarm only ever scores feasible candidates. Of the best-so-far state only
+the personal bests are stored: the global best is an index into them, and a
+particle's local best is its better ring neighbor's (indices wrap, no self).
 """
 
 from __future__ import annotations
@@ -57,16 +58,15 @@ class Solution:
 
 @dataclass
 class Swarm:
-    """Population state plus the best-so-far bookkeeping."""
+    """Population state plus the personal bests and the global best's index."""
 
     population: np.ndarray  # (N_v, A)
     velocity: np.ndarray  # (N_v, A)
     quality: np.ndarray  # (A,)
     personal_best: np.ndarray  # (N_v, A)
     personal_best_value: np.ndarray  # (A,)
-    local_best: np.ndarray  # (N_v, A), the better ring neighbor's personal best
-    global_best: np.ndarray  # (N_v,)
     global_best_value: float
+    global_best_index: int  # the personal best that holds global_best_value
     draw_buffers: np.ndarray  # (2, N_v, A): the velocity step's draw and gap
 
 
@@ -138,9 +138,8 @@ def init_swarm(scenario, pso_cfg, rng):
         quality=np.full(a, -np.inf),
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
-        local_best=np.zeros((n_vars, a)),
-        global_best=np.zeros(n_vars),
         global_best_value=-np.inf,
+        global_best_index=0,
         draw_buffers=np.empty((2, n_vars, a)),
     )
 
@@ -186,22 +185,15 @@ def decode(column, scenario):
 
 
 def update_bests(swarm):
-    """Refresh personal, global and ring-neighbor bests from the qualities."""
+    """Refresh the personal bests and the global best's value and index."""
     q = swarm.quality
     improved = q > swarm.personal_best_value
     swarm.personal_best_value[improved] = q[improved]
-    np.copyto(swarm.personal_best, swarm.population, where=improved)
+    swarm.personal_best[:, improved] = swarm.population[:, improved]
     lead = int(np.argmax(swarm.personal_best_value))
     if swarm.personal_best_value[lead] > swarm.global_best_value:
         swarm.global_best_value = float(swarm.personal_best_value[lead])
-        swarm.global_best = swarm.personal_best[:, lead].copy()  # a view otherwise
-    values = swarm.personal_best_value
-    ring = np.arange(values.size)
-    left = (ring - 1) % values.size
-    right = (ring + 1) % values.size
-    pick = np.where(values[left] >= values[right], left, right)
-    # "raise" would buffer the output
-    np.take(swarm.personal_best, pick, axis=1, out=swarm.local_best, mode="clip")
+        swarm.global_best_index = lead
     return swarm
 
 
@@ -216,12 +208,18 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     # r_local is drawn after r_global is spent, in the order of two draws.
     rng.random(out=draw)
     x *= cfg.inertia
-    np.subtract(swarm.global_best[:, None], f, out=gap)
+    np.subtract(swarm.personal_best[:, swarm.global_best_index, None], f, out=gap)
     draw *= cfg.learn_global
     draw *= gap
     x += draw
     rng.random(out=draw)
-    np.subtract(swarm.local_best, f, out=gap)
+    values = swarm.personal_best_value
+    ring = np.arange(values.size)
+    left, right = (ring - 1) % values.size, (ring + 1) % values.size
+    pick = np.where(values[left] >= values[right], left, right)  # left on ties
+    # the local bests, gathered into gap; "raise" would buffer the output
+    np.take(swarm.personal_best, pick, axis=1, out=gap, mode="clip")
+    gap -= f
     draw *= cfg.learn_local
     draw *= gap
     x += draw
@@ -240,7 +238,9 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
     initialization and the series is non-decreasing. ``callback(t, swarm)``,
     if given, fires after each evaluation (t = 0 .. n_iterations) with the
     post-projection population. Raises ValueError when the best sum rate is
-    not finite, e.g. when the power and noise levels overflow the SINR.
+    not finite, e.g. when the power and noise levels overflow the SINR, and
+    when a move overflows because the update coefficients make the swarm
+    diverge.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
@@ -265,7 +265,15 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
     trace = np.empty(cfg.n_iterations + 1)
     for t in range(cfg.n_iterations + 1):
         if t > 0:
-            update_velocity_and_position(swarm, scenario, cfg, rng)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    update_velocity_and_position(swarm, scenario, cfg, rng)
+            except FloatingPointError:
+                raise ValueError(
+                    f"the swarm diverges at iteration {t}: its move overflows "
+                    f"with inertia={cfg.inertia}, learn_global={cfg.learn_global} "
+                    f"and learn_local={cfg.learn_local}"
+                ) from None
         f = swarm.population
         idx = top_beam_indices(f[:n], n_sel)
         swarm.quality = evaluator.sum_rates(f[n + k :], idx, f[n : n + k], sigma2)
@@ -279,6 +287,6 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
         trace[t] = swarm.global_best_value
         if callback is not None:
             callback(t, swarm)
-    best = decode(swarm.global_best, scenario)
+    best = decode(swarm.personal_best[:, swarm.global_best_index], scenario)
     return best, float(swarm.global_best_value), trace
 

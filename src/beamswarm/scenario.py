@@ -299,13 +299,12 @@ def draw_angles(config, rng):
 def _entropy(seed, key):
     """``[seed, *key]`` as SeedSequence entropy, each entry an integer >= 0.
 
-    A float raises TypeError rather than being truncated; a negative entry
-    raises ValueError naming ``seed`` or ``key[i]``.
+    A float, a boolean or a negative entry raises ValueError naming ``seed``
+    or ``key[i]``; nothing is truncated.
     """
-    entropy = [operator.index(v) for v in (seed, *key)]
-    for i, v in enumerate(entropy):
+    for i, v in enumerate((seed, *key)):
         _require_int("seed" if i == 0 else f"key[{i - 1}]", v, 0)
-    return entropy
+    return [operator.index(v) for v in (seed, *key)]
 
 
 def derive_stream(seed, *key):
@@ -313,8 +312,8 @@ def derive_stream(seed, *key):
 
     Streams built from distinct keys are independent, so trials can run in
     any order (or concurrently) without changing results. The seed and the
-    key entries must be integers >= 0; a float raises TypeError rather than
-    being truncated.
+    key entries must be integers >= 0, not booleans; anything else raises
+    ValueError rather than being truncated.
     """
     return np.random.default_rng(np.random.SeedSequence(_entropy(seed, key)))
 
@@ -323,7 +322,8 @@ def derive_seed(seed, *key):
     """Deterministic child seed from a seed and an index key.
 
     Composes with :func:`derive_stream`: a config reseeded with a derived
-    seed still yields order-independent per-trial streams.
+    seed still yields order-independent per-trial streams. The seed and key
+    are checked as in :func:`derive_stream`.
     """
     state = np.random.SeedSequence(_entropy(seed, key)).generate_state(1, np.uint64)
     return int(state[0])

@@ -80,6 +80,16 @@ class TestErrors:
         assert err.startswith("error: ValueError: best sum rate is inf")
         assert err.count("\n") == 1  # no RuntimeWarning ahead of the error line
 
+    def test_diverging_swarm_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"inertia": 50.0}), encoding="utf-8")
+        code, out, err = _run(["trial", "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError: the swarm diverges at iteration ")
+        assert "inertia=50.0" in err
+        assert err.count("\n") == 1  # no RuntimeWarning ahead of the error line
+
     def test_missing_config_file(self, capsys):
         code, _, err = _run(
             ["trial", "--config", "/nonexistent/config.json"], capsys

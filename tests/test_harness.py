@@ -306,8 +306,14 @@ _NOT_INDICES = {  # case: (build, exception, message)
                              ValueError, r"^trial_index must be >= 0 \(got -1\)$"),
     "trial_index_str": (lambda: run_trial(_base_scenario(), _base_pso(), "3"),
                         ValueError, r"^trial_index must be an integer \(got '3'\)$"),
-    "derive_stream_float": (lambda: derive_stream(1.9), TypeError, "float"),
-    "derive_seed_float_key": (lambda: derive_seed(0, 2.5), TypeError, "float"),
+    "derive_stream_float": (lambda: derive_stream(1.9), ValueError,
+                            r"^seed must be an integer \(got 1\.9\)$"),
+    "derive_seed_float_key": (lambda: derive_seed(0, 2.5), ValueError,
+                              r"^key\[0\] must be an integer \(got 2\.5\)$"),
+    "derive_seed_bool_seed": (lambda: derive_seed(True, 0), ValueError,
+                              r"^seed must be an integer \(got True\)$"),
+    "derive_stream_bool_key": (lambda: derive_stream(0, 1, False), ValueError,
+                               r"^key\[1\] must be an integer \(got False\)$"),
     "derive_stream_negative_key": (lambda: derive_stream(0, -1), ValueError,
                                    r"^key\[0\] must be >= 0 \(got -1\)$"),
     "derive_stream_negative_seed": (lambda: derive_stream(-2, 0, 1), ValueError,

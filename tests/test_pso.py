@@ -48,12 +48,14 @@ def rolled_ring_picks(values):
 
 
 def allocating_velocity(swarm, scenario, cfg, rng):
+    # reads the global best from rolled_bests' own copy, not from the index
     f, x = swarm.population, swarm.velocity
     rand_global = rng.random(f.shape)
     rand_local = rng.random(f.shape)
+    local_best = swarm.personal_best[:, rolled_ring_picks(swarm.personal_best_value)]
     x *= cfg.inertia
-    x += cfg.learn_global * rand_global * (swarm.global_best[:, None] - f)
-    x += cfg.learn_local * rand_local * (swarm.local_best - f)
+    x += cfg.learn_global * rand_global * (swarm.oracle_global_best[:, None] - f)
+    x += cfg.learn_local * rand_local * (local_best - f)
     f += x
     constraints_check(
         f, scenario.n_antennas, scenario.n_users, scenario.total_power, rng
@@ -65,13 +67,12 @@ def rolled_bests(swarm):
     q = swarm.quality
     improved = q > swarm.personal_best_value
     swarm.personal_best_value[improved] = q[improved]
-    swarm.personal_best[:, improved] = swarm.population[:, improved]
+    swarm.personal_best = np.where(improved, swarm.population, swarm.personal_best)
     lead = int(np.argmax(swarm.personal_best_value))
     if swarm.personal_best_value[lead] > swarm.global_best_value:
         swarm.global_best_value = float(swarm.personal_best_value[lead])
-        swarm.global_best = swarm.personal_best[:, lead].copy()
-    pick = rolled_ring_picks(swarm.personal_best_value)
-    swarm.local_best = swarm.personal_best[:, pick]
+        swarm.global_best_index = lead  # optimize decodes this column
+        swarm.oracle_global_best = swarm.personal_best[:, lead].copy()
     return swarm
 
 
@@ -206,6 +207,24 @@ class TestInitSwarm:
         b = init_swarm(cfg, pcfg, np.random.default_rng(3))
         assert np.array_equal(a.population, b.population)
 
+    def test_keeps_four_run_sized_arrays(self):
+        cfg = make_config()
+        pcfg = PsoConfig()
+        rng = np.random.default_rng(0)
+        block = (cfg.n_antennas + cfg.n_users + cfg.total_uc) * pcfg.n_particles
+        tracemalloc.start()
+        try:
+            swarm = init_swarm(cfg, pcfg, rng)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        run_sized = {name for name, value in vars(swarm).items()
+                     if np.size(value) >= block}
+        assert run_sized == {"population", "velocity", "personal_best",
+                             "draw_buffers"}
+        # nothing else of that size stays behind, held by the swarm or not
+        assert kept < 5 * 8 * block + 8 * block // 2
+
     def test_initial_population_feasible(self):
         cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=6,
                           n_selected_beams=4)
@@ -287,61 +306,10 @@ def _toy_swarm(population, quality):
         quality=np.asarray(quality, dtype=float),
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
-        local_best=np.zeros((n_vars, a)),
-        global_best=np.zeros(n_vars),
         global_best_value=-np.inf,
+        global_best_index=0,
         draw_buffers=np.empty((2, n_vars, a)),
     )
-
-
-class TestUpdateBests:
-    def test_global_argmax(self):
-        pop = np.arange(9.0).reshape(3, 3)
-        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
-        update_bests(swarm)
-        assert swarm.global_best_value == 9.0
-        assert swarm.global_best == pytest.approx(pop[:, 1])
-
-    def test_ring_neighbors(self):
-        pop = np.arange(9.0).reshape(3, 3)
-        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
-        update_bests(swarm)
-        # particle 0's neighbors are particles 2 and 1; 9 beats 7
-        assert np.array_equal(swarm.local_best[:, 0], pop[:, 1])
-        # particle 1's neighbors are particles 0 and 2; 7 beats 5
-        assert np.array_equal(swarm.local_best[:, 1], pop[:, 2])
-        # particle 2's neighbors are particles 1 and 0; 9 beats 5
-        assert np.array_equal(swarm.local_best[:, 2], pop[:, 1])
-
-    def test_tie_picks_left_neighbor(self):
-        pop = np.arange(9.0).reshape(3, 3)
-        swarm = _toy_swarm(pop, [5.0, 1.0, 5.0])
-        update_bests(swarm)
-        # particle 1's neighbors 0 and 2 tie at 5; the left one wins
-        assert np.array_equal(swarm.local_best[:, 1], pop[:, 0])
-
-    def test_monotone_retention_on_drop(self):
-        pop = np.arange(9.0).reshape(3, 3)
-        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
-        update_bests(swarm)
-        swarm.population = pop + 100.0
-        swarm.quality = np.array([1.0, 2.0, 3.0])
-        update_bests(swarm)
-        assert swarm.global_best_value == 9.0
-        assert np.array_equal(swarm.global_best, pop[:, 1])
-        # best-ever memory keeps the old neighbor peaks too
-        assert np.array_equal(swarm.local_best[:, 0], pop[:, 1])
-        assert np.array_equal(swarm.local_best[:, 1], pop[:, 2])
-
-    def test_bests_do_not_alias_population_or_personal_best(self):
-        pop = np.arange(9.0).reshape(3, 3)
-        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
-        update_bests(swarm)
-        local, best = swarm.local_best.copy(), swarm.global_best.copy()
-        swarm.population += 50.0
-        swarm.personal_best += 50.0
-        assert np.array_equal(swarm.local_best, local)
-        assert np.array_equal(swarm.global_best, best)
 
 
 class _OnesRng:
@@ -352,13 +320,100 @@ class _OnesRng:
         return np.ones(shape) if shape is not None else 1.0
 
 
+def _local_pull(swarm):
+    """The l - f of a velocity step from rest with only the local term on.
+
+    Returns it with the population it started from, since the step moves
+    the population.
+    """
+    start = swarm.population.copy()
+    swarm.velocity[...] = 0.0
+    n_vars = start.shape[0]
+    scenario = make_config(n_antennas=n_vars - 2, n_users=1, n_ris=1, m_total=1,
+                           n_selected_beams=1)
+    cfg = PsoConfig(inertia=0.0, learn_global=0.0, learn_local=1.0)
+    update_velocity_and_position(swarm, scenario, cfg, _OnesRng())
+    return swarm.velocity, start
+
+
+class TestUpdateBests:
+    def test_global_argmax(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
+        update_bests(swarm)
+        assert swarm.global_best_value == 9.0
+        assert swarm.global_best_index == 1
+        assert np.array_equal(swarm.personal_best[:, 1], pop[:, 1])
+
+    def test_global_index_moves_only_when_the_value_rises(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
+        update_bests(swarm)
+        swarm.population = pop + 100.0
+        swarm.quality = np.array([9.0, 1.0, 9.0])  # ties, does not rise
+        update_bests(swarm)
+        assert swarm.global_best_index == 1
+        swarm.quality = np.array([1.0, 1.0, 9.5])
+        update_bests(swarm)
+        assert (swarm.global_best_index, swarm.global_best_value) == (2, 9.5)
+        assert np.array_equal(swarm.personal_best[:, 2], pop[:, 2] + 100.0)
+
+    def test_ring_neighbors(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
+        update_bests(swarm)
+        pull, f = _local_pull(swarm)
+        # particle 0's neighbors are particles 2 and 1; 9 beats 7
+        assert np.array_equal(pull[:, 0], pop[:, 1] - f[:, 0])
+        # particle 1's neighbors are particles 0 and 2; 7 beats 5
+        assert np.array_equal(pull[:, 1], pop[:, 2] - f[:, 1])
+        # particle 2's neighbors are particles 1 and 0; 9 beats 5
+        assert np.array_equal(pull[:, 2], pop[:, 1] - f[:, 2])
+
+    def test_tie_picks_left_neighbor(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 1.0, 5.0])
+        update_bests(swarm)
+        pull, f = _local_pull(swarm)
+        # particle 1's neighbors 0 and 2 tie at 5; the left one wins
+        assert np.array_equal(pull[:, 1], pop[:, 0] - f[:, 1])
+
+    def test_monotone_retention_on_drop(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
+        update_bests(swarm)
+        swarm.population = pop + 100.0
+        swarm.quality = np.array([1.0, 2.0, 3.0])
+        update_bests(swarm)
+        assert swarm.global_best_value == 9.0
+        assert swarm.global_best_index == 1
+        assert np.array_equal(swarm.personal_best, pop)
+        # best-ever memory keeps the old neighbor peaks too
+        pull, f = _local_pull(swarm)
+        assert np.array_equal(pull[:, 0], pop[:, 1] - f[:, 0])
+        assert np.array_equal(pull[:, 1], pop[:, 2] - f[:, 1])
+
+    def test_bests_do_not_alias_population_or_personal_best(self):
+        pop = np.arange(9.0).reshape(3, 3)
+        swarm = _toy_swarm(pop, [5.0, 9.0, 7.0])
+        update_bests(swarm)
+        swarm.population += 50.0
+        assert np.array_equal(swarm.personal_best, pop)
+        # the step gathers the local bests into its own buffer
+        _local_pull(swarm)
+        assert np.array_equal(swarm.personal_best, pop)
+        assert (swarm.global_best_index, swarm.global_best_value) == (1, 9.0)
+
+
 class TestVelocityUpdate:
     def test_injected_rand_arithmetic(self):
         # x=0, gap-to-global=1, gap-to-local=0.5, mu=0.05, w1=w2=2 -> v=3
         f = np.full((3, 3), 0.2)
         swarm = _toy_swarm(f, [1.0, 1.0, 1.0])
-        swarm.global_best = np.full(3, 1.2)
-        swarm.local_best = np.full((3, 3), 0.7)
+        # the index names column 0; the ring picks, which go by value, skip it
+        swarm.personal_best = np.array([[1.2, 0.7, 0.7]] * 3)
+        swarm.personal_best_value = np.array([0.0, 1.0, 1.0])
+        swarm.global_best_index = 0
         swarm.global_best_value = 1.0
         scenario = make_config(n_antennas=1, n_users=1, n_ris=1, m_total=1,
                                n_selected_beams=1)
@@ -374,8 +429,8 @@ class TestVelocityUpdate:
         swarm = init_swarm(cfg, pcfg, rng)
         column = swarm.population[:, 0].copy()
         swarm.population = np.tile(column[:, None], (1, 3))
-        swarm.global_best = column.copy()
-        swarm.local_best = np.tile(column[:, None], (1, 3))
+        swarm.personal_best = swarm.population.copy()
+        swarm.personal_best_value = np.ones(3)
         swarm.global_best_value = 1.0
         update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(
@@ -390,8 +445,8 @@ class TestVelocityUpdate:
         rng = np.random.default_rng(6)
         swarm = init_swarm(cfg, pcfg, rng)
         before = swarm.population.copy()
-        swarm.global_best = swarm.population[:, 0].copy()
-        swarm.local_best = swarm.population.copy()
+        swarm.personal_best = swarm.population.copy()
+        swarm.personal_best_value = np.ones(3)
         swarm.global_best_value = 1.0
         update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(before, rel=1e-12)
@@ -481,6 +536,16 @@ class TestOptimize:
         with pytest.raises(ValueError, match="do not match"):
             optimize(channels, wrong, PsoConfig(n_particles=4, n_iterations=2))
 
+    def test_diverging_swarm_rejected(self):
+        cfg, channels = _small_setup()
+        pcfg = PsoConfig(n_particles=5, n_iterations=20, inertia=1e100)
+        with pytest.raises(
+            ValueError,
+            match=r"diverges at iteration \d+: .*inertia=1e\+100, "
+                  r"learn_global=2\.0 and learn_local=2\.0",
+        ):
+            optimize(channels, cfg, pcfg, derive_stream(5, 0))
+
     def test_non_finite_rate_rejected(self):
         # 1e27 W over 1e-303 W noise overflows the SINR of a lone user
         cfg = make_config(n_antennas=8, n_users=1, n_ris=2, m_total=8,
@@ -540,8 +605,9 @@ class TestAgainstReplacedFormulas:
         population = rng.random((5, a))
         quality = rng.integers(0, 3, a).astype(float)  # ties between neighbors
         swarm = update_bests(_toy_swarm(population, quality))
-        pick = rolled_ring_picks(swarm.personal_best_value)
-        assert np.array_equal(swarm.local_best, swarm.personal_best[:, pick])
+        local_best = swarm.personal_best[:, rolled_ring_picks(swarm.personal_best_value)]
+        pull, f = _local_pull(swarm)
+        assert np.array_equal(pull, local_best - f)
 
     def test_velocity_step_has_the_bits_of_the_allocating_expression(self):
         for m_total, a in ((8, 6), (1024, 50), (300, 37)):
@@ -551,15 +617,34 @@ class TestAgainstReplacedFormulas:
                              learn_local=2.9)
             swarm = init_swarm(cfg, pcfg, derive_stream(24, 1))
             swarm.quality = derive_stream(24, 2).random(a)
-            update_bests(swarm)
             swarm.velocity = derive_stream(24, 3).normal(size=swarm.velocity.shape)
             twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
             twin.global_best_value = swarm.global_best_value
+            update_bests(swarm)
+            rolled_bests(twin)
             for _ in range(3):
                 update_velocity_and_position(swarm, cfg, pcfg, derive_stream(24, 4))
                 allocating_velocity(twin, cfg, pcfg, derive_stream(24, 4))
                 assert swarm.velocity.tobytes() == twin.velocity.tobytes()
                 assert swarm.population.tobytes() == twin.population.tobytes()
+
+    def test_bests_match_the_copying_bookkeeping(self):
+        cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=8,
+                          n_selected_beams=4)
+        swarm = init_swarm(cfg, PsoConfig(n_particles=9), derive_stream(25, 1))
+        twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
+        twin.global_best_value = swarm.global_best_value
+        rng = derive_stream(25, 2)
+        for _ in range(6):
+            quality = rng.integers(0, 4, 9).astype(float)  # ties and drops
+            swarm.population = twin.population = rng.random(swarm.population.shape)
+            swarm.quality = twin.quality = quality
+            update_bests(swarm)
+            rolled_bests(twin)
+            assert swarm.personal_best.tobytes() == twin.personal_best.tobytes()
+            assert swarm.global_best_value == twin.global_best_value
+            assert np.array_equal(swarm.personal_best[:, swarm.global_best_index],
+                                  twin.oracle_global_best)
 
 
 _REFERENCE_CONFIGS = {
