@@ -33,13 +33,14 @@ _TABLE = np.exp(1j * (np.arange(_TABLE_SIZE) * _STEP_HI)) * np.exp(
 )
 
 
-def _unit_phasors(phases, out, scratch):
+def _unit_phasors(phases, out, scratch, rot):
     """exp(1j * phases) for finite |phases| <= _PHASE_BOUND, to 1e-15.
 
     A table lookup times a short Taylor series in the remainder b, with
     |b| <= pi/2^10: cos to b^4 and sin to b^5 leave errors below 1e-17.
     Writes into ``out`` (complex, the shape of ``phases``) and works in
-    ``scratch``, a float array of shape ``(3,) + phases.shape``.
+    ``scratch``, a float array of shape ``(3,) + phases.shape``, and in
+    ``rot``, a complex array of the shape of ``phases``.
     """
     k, b, sin = scratch
     np.multiply(phases, _STEPS_PER_RAD, out=k)
@@ -47,7 +48,7 @@ def _unit_phasors(phases, out, scratch):
     idx = b.view(np.intp)
     np.copyto(idx, k, casting="unsafe")
     idx &= _TABLE_SIZE - 1
-    np.take(_TABLE, idx, out=out, mode="clip")  # "raise" would buffer out
+    _TABLE.take(idx, out=out, mode="clip")  # "raise" would buffer out
     np.multiply(k, _STEP_HI, out=b)  # the indices are spent; reuse their buffer
     np.subtract(phases, b, out=b)
     k *= _STEP_LO
@@ -57,19 +58,12 @@ def _unit_phasors(phases, out, scratch):
     sin -= 1.0 / 6.0
     sin *= b2
     sin *= b
-    sin += b
+    np.add(sin, b, out=rot.imag)
     cos = np.multiply(b2, 1.0 / 24.0, out=b)
     cos -= 0.5
     cos *= b2
-    cos += 1.0
-    # out *= cos + 1j*sin, one real part at a time
-    re, im = out.real, out.imag
-    im_sin = np.multiply(im, sin, out=b2)
-    sin *= re
-    im *= cos
-    im += sin
-    re *= cos
-    re -= im_sin
+    np.add(cos, 1.0, out=rot.real)
+    out *= rot
     return out
 
 
@@ -88,22 +82,35 @@ def validate_beam_set(selected, n_antennas):
     Indices must be integers, unique, and lie in [0, n_antennas); a
     negative index is rejected rather than wrapped.
     """
-    sel = np.asarray(selected)
+    sel = np.array(selected)  # a copy: the result never aliases the caller's array
     if sel.ndim != 1:
         raise ValueError(f"a beam set must be 1-D (got shape {sel.shape})")
     return _sorted_beam_sets(sel[:, None], n_antennas)[:, 0]
 
 
 def _sorted_beam_sets(beam_sets, n_antennas):
-    """Check (N_s, A) beam sets, one per column, and sort them down axis 0."""
+    """Check (N_s, A) beam sets, one per column, and sort them down axis 0.
+
+    Sets that are sorted already come back as they are, not copied.
+    """
     if beam_sets.dtype.kind not in "iu":
         raise ValueError(f"beam indices must be integers (got dtype {beam_sets.dtype})")
-    ordered = np.sort(beam_sets, axis=0)
+    # strictly increasing columns are sorted and unique as they are
+    increasing = (beam_sets[1:] > beam_sets[:-1]).all()
+    ordered = beam_sets if increasing else np.sort(beam_sets, axis=0)
     if ordered.size and (ordered[0].min() < 0 or ordered[-1].max() >= n_antennas):
         raise ValueError(f"beam indices must lie in [0, {n_antennas})")
-    if (ordered[1:] == ordered[:-1]).any():
+    if not increasing and (ordered[1:] == ordered[:-1]).any():
         raise ValueError("beam indices must be unique within each beam set")
     return ordered
+
+
+def _real_array(name, values):
+    """``values`` as a float array; complex and non-numeric dtypes fail."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers (got dtype {values.dtype})")
+    return values.astype(float, copy=False)
 
 
 def _sinr_work(a, k, n_s):
@@ -153,7 +160,7 @@ def sum_rate(h_beam, selected, powers, sigma2):
         raise ValueError(f"sigma2 must be finite and > 0 (got {sigma2})")
     h_beam = np.asarray(h_beam)
     n, k = h_beam.shape
-    powers = np.asarray(powers, dtype=float)
+    powers = _real_array("powers", powers)
     if powers.shape != (k,):
         raise ValueError(
             f"powers must hold one entry per user: shape ({k},) "
@@ -267,7 +274,8 @@ class SumRateEvaluator:
             m, k, r = self.total_uc, self.n_users, self._op.shape[1]
             self._batch = (a, n_s), (
                 np.empty((m, a), dtype=complex),  # unit-cell phasors v
-                np.empty((3, m, a)),  # phase-map scratch
+                # the phase map's scratch and its rotation
+                (np.empty((3, m, a)), np.empty((m, a), dtype=complex)),
                 np.empty((r * k, a), dtype=complex),  # z, rows (j, r, k)
                 np.empty((a, n_s, r), dtype=complex),  # rows of P per candidate
                 _sinr_work(a, k, n_s),
@@ -283,14 +291,14 @@ class SumRateEvaluator:
         evaluator keeps between calls.
         """
         a = phases.shape[1]
-        v, scratch, z, p_rows, _ = self._buffers(a, beam_sets.shape[0])
-        _unit_phasors(phases, v, scratch)
+        v, phase_work, z, p_rows, _ = self._buffers(a, beam_sets.shape[0])
+        _unit_phasors(phases, v, *phase_work)
         for w, cells, z_rows in self._products:
             j, rk, m = w.shape
             np.matmul(w, v[cells].reshape(j, m, a), out=z[z_rows].reshape(j, rk, a))
         # rows of z run over (surface j, rank r, user k); R, not -1, for A = 0
         z_t = z.reshape(self._op.shape[1], self.n_users, a).transpose(2, 1, 0)
-        np.take(self._op, beam_sets.T, axis=0, out=p_rows, mode="clip")
+        self._op.take(beam_sets.T, axis=0, out=p_rows, mode="clip")
         return z_t @ p_rows.transpose(0, 2, 1)  # (A, R, N_s)
 
     def sum_rates(self, phases, beam_sets, powers, noise_variance):
@@ -306,9 +314,9 @@ class SumRateEvaluator:
             raise ValueError(
                 f"noise_variance must be finite and > 0 (got {noise_variance})"
             )
-        phases = np.asarray(phases, dtype=float)
+        phases = _real_array("phases", phases)
         beam_sets = np.asarray(beam_sets)
-        powers = np.asarray(powers, dtype=float)
+        powers = _real_array("powers", powers)
         if phases.ndim != 2 or phases.shape[0] != self.total_uc:
             raise ValueError(
                 f"phases must be (M, A) with M={self.total_uc} "

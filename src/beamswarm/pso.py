@@ -11,6 +11,7 @@ particle's local best is its better ring neighbor's (indices wrap, no self).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -79,7 +80,7 @@ def project_beams(column, n_antennas, rng):
     block = column[:n_antennas].reshape(n_antennas, -1)  # a column is (N, 1)
     np.abs(block, out=block)
     peak = block.max(axis=0, keepdims=True)
-    if (peak == 0.0).any():
+    if not peak.all():  # some column of the block is all zero
         dead = np.flatnonzero(peak[0] == 0.0)
         block[:, dead] = rng.random((n_antennas, dead.size))
         peak = block.max(axis=0, keepdims=True)
@@ -96,7 +97,7 @@ def project_powers(column, n_antennas, n_users, total_power):
     block = column[n_antennas : n_antennas + n_users].reshape(n_users, -1)
     np.abs(block, out=block)
     total = block.sum(axis=0, keepdims=True)
-    if (total == 0.0).any():
+    if not total.all():
         block[:, total[0] == 0.0] = 1.0
         total = block.sum(axis=0, keepdims=True)
     block *= total_power / total
@@ -109,8 +110,17 @@ def project_phases(column, n_antennas, n_users):
     The same bits as ``np.mod(block, 2*pi)``, -0.0 to +0.0 included.
     """
     block = column[n_antennas + n_users :]
-    np.fmod(block, _TWO_PI, out=block)
-    block += (block < 0.0) * _TWO_PI
+    # fmod only where one period is not enough; most of a run's phases are
+    # already in [0, 2*pi) and a few percent lie past [-2*pi, 4*pi). take
+    # and put index the block as flattened and write into any strided view.
+    far = ((block < -_TWO_PI) | (block >= 2.0 * _TWO_PI)).ravel().nonzero()[0]
+    if far.size:
+        block.put(far, np.fmod(block.take(far), _TWO_PI))
+    # one period up below 0, one down at or above 2*pi, else + 0.0 (which
+    # turns -0.0 into +0.0). On [2*pi, 4*pi), x - 2*pi is exact (Sterbenz),
+    # so it equals fmod; below 0 it is np.mod's own rounded x + 2*pi.
+    step = (block < 0.0).view(np.int8) - (block >= _TWO_PI).view(np.int8)
+    block += step * _TWO_PI
     return column
 
 
@@ -154,6 +164,10 @@ def top_beam_indices(scores, n_selected):
     scores = np.asarray(scores)
     if scores.dtype.kind not in "biuf":
         raise TypeError(f"scores must be real numbers (got dtype {scores.dtype})")
+    if scores.ndim not in (1, 2):
+        raise ValueError(
+            f"scores must be a vector or an (N, A) matrix (got shape {scores.shape})"
+        )
     n = scores.shape[0]
     _require_int("n_selected", n_selected, None)
     if not 1 <= n_selected <= n:
@@ -163,15 +177,21 @@ def top_beam_indices(scores, n_selected):
         )
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
-    cut = np.partition(scores, n - n_selected, axis=0)[n - n_selected]
-    keep = scores > cut
-    # fill the rest with the lowest-index scores equal to the cut
-    ties = scores == cut
-    keep |= ties & (np.cumsum(ties, axis=0) <= n_selected - keep.sum(axis=0))
+    by_column = scores.T if scores.ndim == 2 else scores[None]  # (A, N)
+    cut = np.partition(by_column, n - n_selected, axis=1)[:, n - n_selected, None]
+    # each column holds at least n_selected scores >= its cut
+    keep = np.greater_equal(by_column, cut, order="C")
+    if np.count_nonzero(keep) > keep.shape[0] * n_selected:
+        # fill the rest with the lowest-index scores equal to the cut
+        keep = np.greater(by_column, cut, order="C")
+        ties = np.equal(by_column, cut, order="C")
+        keep |= ties & (
+            np.cumsum(ties, axis=1) <= n_selected - keep.sum(axis=1, keepdims=True)
+        )
+    rows = keep.ravel().nonzero()[0] % n  # column by column, rows ascending
     if scores.ndim == 1:
-        return np.flatnonzero(keep)
-    rows = np.nonzero(keep.T)[1]  # column by column, rows ascending
-    return rows.reshape(scores.shape[1], n_selected).T
+        return rows
+    return rows.reshape(-1, n_selected).T
 
 
 def decode(column, scenario):
@@ -190,16 +210,25 @@ def update_bests(swarm):
     improved = q > swarm.personal_best_value
     swarm.personal_best_value[improved] = q[improved]
     swarm.personal_best[:, improved] = swarm.population[:, improved]
-    lead = int(np.argmax(swarm.personal_best_value))
+    lead = int(swarm.personal_best_value.argmax())
     if swarm.personal_best_value[lead] > swarm.global_best_value:
         swarm.global_best_value = float(swarm.personal_best_value[lead])
         swarm.global_best_index = lead
     return swarm
 
 
+@functools.lru_cache(maxsize=8)
+def _ring_neighbors(n_particles):
+    """Read-only left and right ring neighbors of each particle (indices wrap)."""
+    ring = np.arange(n_particles)
+    left, right = (ring - 1) % n_particles, (ring + 1) % n_particles
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def update_velocity_and_position(swarm, scenario, cfg, rng):
     """Inertia-plus-attraction velocity step, move, then re-project."""
-    if not np.isfinite(swarm.global_best_value):
+    if not math.isfinite(swarm.global_best_value):
         raise ValueError("update_bests must run before the velocity update")
     f, x = swarm.population, swarm.velocity
     draw, gap = swarm.draw_buffers
@@ -214,11 +243,10 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     x += draw
     rng.random(out=draw)
     values = swarm.personal_best_value
-    ring = np.arange(values.size)
-    left, right = (ring - 1) % values.size, (ring + 1) % values.size
+    left, right = _ring_neighbors(values.size)
     pick = np.where(values[left] >= values[right], left, right)  # left on ties
     # the local bests, gathered into gap; "raise" would buffer the output
-    np.take(swarm.personal_best, pick, axis=1, out=gap, mode="clip")
+    swarm.personal_best.take(pick, axis=1, out=gap, mode="clip")
     gap -= f
     draw *= cfg.learn_local
     draw *= gap

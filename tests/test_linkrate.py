@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from beamswarm.channel import (
 from beamswarm.linkrate import (
     RateReport,
     SumRateEvaluator,
+    _sorted_beam_sets,
     _unit_phasors,
     evaluate_solution,
     sum_rate,
@@ -79,6 +82,8 @@ class TestMrtPrecoder:
 
 def test_validate_beam_set():
     assert list(validate_beam_set([3, 1], 4)) == [1, 3]
+    ordered = np.array([1, 3])
+    assert not np.shares_memory(validate_beam_set(ordered, 4), ordered)
     with pytest.raises(ValueError, match="unique"):
         validate_beam_set([1, 1], 4)
     with pytest.raises(ValueError, match="lie in"):
@@ -253,6 +258,14 @@ class TestBoundary:
         h = _random_beamspace(np.random.default_rng(28), 4, 2)
         with pytest.raises(ValueError, match="powers"):
             sum_rate(h, [0, 1], np.array([1.0, bad]), 1e-3)
+
+    @pytest.mark.parametrize("powers", [[1 + 1j, 1.0], np.array([1.0, 2.0]) + 0j])
+    def test_rejects_complex_powers(self, powers):
+        h = _random_beamspace(np.random.default_rng(28), 4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(ValueError, match="powers must be real numbers"):
+                sum_rate(h, [0, 1], powers, 1e-3)
 
     def test_rejects_power_count_mismatch(self):
         h = _random_beamspace(np.random.default_rng(29), 4, 2)
@@ -571,6 +584,10 @@ def _bad_batch(name, phases, beam_sets, powers):
                         "powers_inf": np.inf}[name]
     elif name == "phases_too_large":
         phases[4, 1] = -np.nextafter(2.0**20, np.inf)
+    elif name == "phases_complex":
+        phases = phases + 1j * phases
+    elif name == "powers_complex":
+        powers = powers + 0j  # a zero imaginary part is still not real
     return phases, beam_sets, powers
 
 
@@ -593,6 +610,8 @@ def _bad_batch(name, phases, beam_sets, powers):
         ("noise_nan", "noise_variance"),
         ("noise_zero", "noise_variance"),
         ("phases_too_large", r"\|phase\| <= 2\^20 rad"),
+        ("phases_complex", "phases must be real numbers"),
+        ("powers_complex", "powers must be real numbers"),
     ],
 )
 def test_sum_rates_rejects_bad_batches(name, match):
@@ -607,8 +626,25 @@ def test_sum_rates_rejects_bad_batches(name, match):
     ev.sum_rates(phases, beam_sets, powers, cfg.noise_variance)  # valid as built
     noise = {"noise_nan": np.nan, "noise_zero": 0.0}.get(name, cfg.noise_variance)
     args = _bad_batch(name, phases, beam_sets, powers)
-    with pytest.raises(ValueError, match=match):
-        ev.sum_rates(*args, noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. no ComplexWarning before the error
+        with pytest.raises(ValueError, match=match):
+            ev.sum_rates(*args, noise)
+
+
+def test_sorted_beam_sets_skip_the_sort_only_for_increasing_columns():
+    ordered = np.array([[0, 2], [3, 5], [7, 6]])
+    assert _sorted_beam_sets(ordered, 8) is ordered  # checked, not copied
+    unsorted = np.array([[3, 2], [0, 5], [7, 6]])
+    got = _sorted_beam_sets(unsorted, 8)
+    assert np.array_equal(got, np.sort(unsorted, axis=0))
+    assert np.array_equal(unsorted, [[3, 2], [0, 5], [7, 6]])  # input kept
+    for duplicate in ([[0, 2], [3, 5], [3, 6]], [[3, 2], [0, 5], [3, 6]]):
+        with pytest.raises(ValueError, match="unique"):
+            _sorted_beam_sets(np.array(duplicate), 8)
+    for out_of_range in ([[0, 2], [3, 5], [8, 6]], [[-1, 2], [3, 5], [7, 6]]):
+        with pytest.raises(ValueError, match=r"lie in \[0, 8\)"):
+            _sorted_beam_sets(np.array(out_of_range), 8)
 
 
 def test_unit_phasors_match_exp_up_to_the_phase_bound():
@@ -625,7 +661,8 @@ def test_unit_phasors_match_exp_up_to_the_phase_bound():
          bound, -bound],
     ]).reshape(-1, 7)
     out = np.empty(phases.shape, dtype=complex)
-    got = _unit_phasors(phases, out, np.empty((3,) + phases.shape))
+    got = _unit_phasors(phases, out, np.empty((3,) + phases.shape),
+                        np.empty(phases.shape, dtype=complex))
     assert got is out
     assert np.abs(got - np.exp(1j * phases)).max() <= 1e-15
 

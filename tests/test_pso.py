@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -270,6 +271,12 @@ class TestTopBeamsAndDecode:
         matrix = np.array([[0.9, 0.1], [0.1, np.nan], [0.8, 0.8]])
         with pytest.raises(ValueError, match="scores must not be NaN"):
             top_beam_indices(matrix, 2)
+
+    @pytest.mark.parametrize("shape", [(), (4, 3, 2)])
+    def test_rejects_scores_that_are_not_a_vector_or_matrix(self, shape):
+        scores = np.ones(shape)
+        with pytest.raises(ValueError, match=re.escape(f"(got shape {shape})")):
+            top_beam_indices(scores, 1)
 
     def test_matrix_selection(self):
         scores = np.array([[0.9, 0.1], [0.1, 0.9], [0.8, 0.8]])
@@ -564,7 +571,8 @@ def _edge_phases():
     nodes = np.arange(-6, 7) * TWO_PI
     return np.concatenate([
         [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0),
-         -np.nextafter(TWO_PI, 0.0), 1e-300, -1e-300, -5e-17, 5e-17],
+         -np.nextafter(TWO_PI, 0.0), 1e-300, -1e-300, -5e-17, 5e-17,
+         1e300, -1e300, 5e-324, -5e-324],
         nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
         rng.uniform(-50.0, 50.0, 100_000),
         rng.uniform(-1e-15, 1e-15, 1000),
@@ -573,15 +581,30 @@ def _edge_phases():
 
 class TestAgainstReplacedFormulas:
     def test_phase_wrap_has_the_bits_of_np_mod(self):
-        # np.resize repeats the values to fill whole rows
-        values = _edge_phases()
-        for a in (None, 50, 7, 20_000):
-            rows = -(-values.size // (a or 1))
-            block = values if a is None else np.resize(values, (rows, a))
-            got = project_phases(block.copy(), 0, 0)
-            want = mod_phases(block.copy(), 0, 0)
-            assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ here
-            assert not np.signbit(got).any()
+        full = _edge_phases()
+        within = full[(full >= -TWO_PI) & (full < 2.0 * TWO_PI)]  # no fmod needed
+        assert {0.0, TWO_PI, -TWO_PI, np.nextafter(2.0 * TWO_PI, 0.0),
+                5e-324} <= set(within.tolist())
+        for values in (full, within):
+            for a in (None, 50, 7, 20_000):
+                # np.resize repeats the values to fill whole rows
+                rows = -(-values.size // (a or 1))
+                block = values if a is None else np.resize(values, (rows, a))
+                blocks = [block.copy()]
+                if a is not None:
+                    blocks.append(np.asfortranarray(block))
+                for block in blocks:
+                    want = mod_phases(block.copy(), 0, 0)
+                    got = project_phases(block, 0, 0)
+                    assert got is block  # in place
+                    assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ
+                    assert not np.signbit(got).any()
+            # a strided column of a matrix, wrapped in place and alone
+            f = np.full((values.size, 5), -1.0)
+            f[:, 3] = values
+            project_phases(f[:, 3], 0, 0)
+            assert f[:, 3].tobytes() == mod_phases(values.copy(), 0, 0).tobytes()
+            assert (np.delete(f, 3, axis=1) == -1.0).all()
 
     @pytest.mark.parametrize("n_selected", [1, 8, 16, 64])
     def test_top_beams_match_stable_argsort(self, n_selected):
@@ -591,7 +614,8 @@ class TestAgainstReplacedFormulas:
         constant = np.full((64, 3), 0.5)
         one_peak = np.zeros((64, 2))
         one_peak[7] = 1.0
-        for scores in (ties, smooth, constant, one_peak):
+        no_columns = np.empty((64, 0))
+        for scores in (ties, smooth, constant, one_peak, no_columns):
             got = top_beam_indices(scores, n_selected)
             assert np.array_equal(got, argsort_top(scores, n_selected))
             assert got.shape == (n_selected, scores.shape[1])
@@ -665,7 +689,7 @@ def test_optimize_matches_a_run_on_the_replaced_formulas(case, monkeypatch):
     got = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
     exp_calls = []
 
-    def exp_phasors(phases, out, scratch):
+    def exp_phasors(phases, out, scratch, rot):
         exp_calls.append(phases.shape)
         out[...] = np.exp(1j * phases)
         return out
