@@ -98,8 +98,8 @@ class ChannelSet:
     """One realization of all spatial channels plus the beamforming matrix.
 
     ``bs_ris[j]`` is the (N, M_j) base-station-to-surface matrix and
-    ``ris_ue[j]`` the (M_j, K) surface-to-users matrix. Arrays are marked
-    read-only on construction.
+    ``ris_ue[j]`` the (M_j, K) surface-to-users matrix, for J >= 1 surfaces.
+    Entries must be finite; arrays are marked read-only on construction.
     """
 
     bs_ris: tuple
@@ -114,13 +114,20 @@ class ChannelSet:
             raise ValueError("dft_matrix must be square")
         if len(self.bs_ris) != len(self.ris_ue):
             raise ValueError("bs_ris and ris_ue must have one matrix per surface")
+        scenario._require_int("len(bs_ris)", len(self.bs_ris), 1)
         k = self.ris_ue[0].shape[1]
-        for c, g in zip(self.bs_ris, self.ris_ue):
+        named = [("dft_matrix", self.dft_matrix)]
+        for j, (c, g) in enumerate(zip(self.bs_ris, self.ris_ue)):
             if c.shape[0] != n or c.shape[1] != g.shape[0] or g.shape[1] != k:
                 raise ValueError(
                     f"inconsistent shapes: C {c.shape}, G {g.shape}, N={n}, K={k}"
                 )
-        for arr in (*self.bs_ris, *self.ris_ue, self.dft_matrix):
+            named += [(f"bs_ris[{j}]", c), (f"ris_ue[{j}]", g)]
+        # a NaN or inf entry would make _low_rank drop or poison its surface
+        for name, arr in named:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite (it holds NaN or inf)")
+        for _, arr in named:
             arr.setflags(write=False)
 
     @property

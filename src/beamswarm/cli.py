@@ -1,13 +1,16 @@
 """Command line front end: trial, sweep and convergence subcommands.
 
-Settings come from an optional JSON config file (flat keys mirroring the
-scenario fields, powers in dBm) with command line flags taking precedence.
-Exits 0 on success; failures print one ``error: ...`` line on stderr.
+Settings come from an optional JSON config file of flat keys, with command
+line flags taking precedence: the keywords of ``make_config`` (powers in
+dBm), the ``PsoConfig`` fields, and ``rng_seed``, which seeds the channels
+and the swarm as ``--seed`` does. Other keys fail. Exits 0 on success;
+failures print one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,24 +28,17 @@ from .harness import (
 from .pso import PsoConfig
 from .scenario import make_config
 
-_PSO_KEYS = (
-    "n_particles",
-    "n_iterations",
-    "inertia",
-    "learn_global",
-    "learn_local",
-)
-# flag destinations merged into the settings dict when given
-_FLAG_KEYS = (
-    "n_users",
-    "m_total",
-    "n_selected_beams",
-    "n_antennas",
-    "n_ris",
-    "power_dbm",
-    "noise_dbm",
-    "n_particles",
-    "n_iterations",
+# (flag, type, destination, help); a flag's value wins over its config key
+_SETTINGS_FLAGS = (
+    ("--n-users", int, "n_users", "number of users (K)"),
+    ("--m-total", int, "m_total", "total unit cells (M)"),
+    ("--n-selected-beams", int, "n_selected_beams", "active beams (N_s)"),
+    ("--n-antennas", int, "n_antennas", "lens-array beams (N)"),
+    ("--n-ris", int, "n_ris", "number of surfaces (J)"),
+    ("--power-dbm", float, "power_dbm", "transmit power budget"),
+    ("--noise-dbm", float, "noise_dbm", "noise variance"),
+    ("--iterations", int, "n_iterations", "swarm iterations (T)"),
+    ("--particles", int, "n_particles", "swarm size (A)"),
 )
 
 
@@ -58,22 +54,9 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", help="JSON file of settings (flags win)")
-        p.add_argument("--n-users", type=int, help="number of users (K)")
-        p.add_argument("--m-total", type=int, help="total unit cells (M)")
-        p.add_argument(
-            "--n-selected-beams", type=int, help="active beams (N_s)"
-        )
-        p.add_argument("--n-antennas", type=int, help="lens-array beams (N)")
-        p.add_argument("--n-ris", type=int, help="number of surfaces (J)")
-        p.add_argument("--power-dbm", type=float, help="transmit power budget")
-        p.add_argument("--noise-dbm", type=float, help="noise variance")
+        for flag, kind, dest, text in _SETTINGS_FLAGS:
+            p.add_argument(flag, type=kind, dest=dest, help=text)
         p.add_argument("--seed", type=int, help="top-level seed (default 0)")
-        p.add_argument(
-            "--iterations", type=int, dest="n_iterations", help="swarm iterations (T)"
-        )
-        p.add_argument(
-            "--particles", type=int, dest="n_particles", help="swarm size (A)"
-        )
         p.add_argument("--out", help="output CSV path")
 
     def multi_trial(p):
@@ -115,20 +98,17 @@ def _assemble(args):
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold one JSON object")
         settings.update(loaded)
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
+    for _, _, dest, _ in _SETTINGS_FLAGS:
+        value = getattr(args, dest)
         if value is not None:
-            settings[key] = value
+            settings[dest] = value
     if args.seed is not None:
         settings["rng_seed"] = args.seed
-        settings.pop("pso_seed", None)  # --seed overrides both streams
     seed = settings.pop("rng_seed", 0)
-    pso_seed = settings.pop("pso_seed", seed)
-    pso_kwargs = {k: settings.pop(k) for k in _PSO_KEYS if k in settings}
-    if "uc_per_ris" in settings:
-        settings["uc_per_ris"] = tuple(settings["uc_per_ris"])
+    pso_kwargs = {f.name: settings.pop(f.name)
+                  for f in dataclasses.fields(PsoConfig) if f.name in settings}
     scenario = make_config(rng_seed=seed, **settings)
-    pso_cfg = PsoConfig(rng_seed=pso_seed, **pso_kwargs)
+    pso_cfg = PsoConfig(rng_seed=seed, **pso_kwargs)
     return scenario, pso_cfg
 
 

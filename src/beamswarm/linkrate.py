@@ -123,15 +123,14 @@ def _sinr_work(a, k, n_s):
     )
 
 
-def _mrt_sinrs(h_sel, p, noise_variance, work=None):
+def _mrt_sinrs(h_sel, p, noise_variance, work):
     """Matched-filter SINRs of a batch: (A, K, N_s) channels, (A, K) powers.
 
     User i's precoder is conj(h_i(S)) / |h_i(S)|, so user k receives
     p_i |<h_k(S), h_i(S)>|^2 / |h_i(S)|^2 from user i. Returns (A, K).
-    ``work`` holds the (A, K, ·) arrays (see :func:`_sinr_work`); they are
-    allocated when absent.
+    ``work`` holds the (A, K, ·) arrays (see :func:`_sinr_work`).
     """
-    h_conj, cross, cross_sq, received = work or _sinr_work(*h_sel.shape)
+    h_conj, cross, cross_sq, received = work
     np.conjugate(h_sel, out=h_conj)
     np.matmul(h_sel, h_conj.transpose(0, 2, 1), out=cross)  # (A, K, K)
     energy = cross.diagonal(axis1=1, axis2=2).real  # |h_k(S)|^2
@@ -151,7 +150,7 @@ def _mrt_sinrs(h_sel, p, noise_variance, work=None):
 def sum_rate(h_beam, selected, powers, sigma2):
     """Achievable rates for all users under a shared beam selection.
 
-    ``h_beam`` is the (N, K) beamspace channel with one column per user;
+    ``h_beam`` is the finite (N, K) beamspace channel, one column per user;
     ``selected`` the beam indices (see :func:`validate_beam_set`);
     ``powers`` the per-user transmit powers in watts, finite and >= 0.
     Raises ValueError when an SINR overflows at these powers and ``sigma2``.
@@ -160,6 +159,8 @@ def sum_rate(h_beam, selected, powers, sigma2):
         raise ValueError(f"sigma2 must be finite and > 0 (got {sigma2})")
     h_beam = np.asarray(h_beam)
     n, k = h_beam.shape
+    if not np.isfinite(h_beam).all():
+        raise ValueError("h_beam must be finite (it holds NaN or inf)")
     powers = _real_array("powers", powers)
     if powers.shape != (k,):
         raise ValueError(
@@ -169,7 +170,8 @@ def sum_rate(h_beam, selected, powers, sigma2):
     if not (np.isfinite(powers).all() and (powers >= 0.0).all()):
         raise ValueError(f"powers must be finite and >= 0 (got {powers.tolist()})")
     idx = validate_beam_set(selected, n)
-    sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2)[0]
+    sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2,
+                      _sinr_work(1, k, idx.size))[0]
     if not np.isfinite(sinr).all():
         raise ValueError(
             f"SINR is not finite (got {sinr.tolist()}): it overflows at these "
@@ -299,7 +301,7 @@ class SumRateEvaluator:
         # rows of z run over (surface j, rank r, user k); R, not -1, for A = 0
         z_t = z.reshape(self._op.shape[1], self.n_users, a).transpose(2, 1, 0)
         self._op.take(beam_sets.T, axis=0, out=p_rows, mode="clip")
-        return z_t @ p_rows.transpose(0, 2, 1)  # (A, R, N_s)
+        return z_t @ p_rows.transpose(0, 2, 1)  # (A, K, N_s)
 
     def sum_rates(self, phases, beam_sets, powers, noise_variance):
         """Sum rates for a batch of candidates, one column per candidate.

@@ -258,9 +258,10 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
     return swarm
 
 
-def optimize(channels, scenario, cfg, rng=None, callback=None):
+def optimize(channels, scenario, cfg, rng, callback=None):
     """Run the swarm against one channel realization.
 
+    ``rng``, the swarm's stream, is required: ``cfg.rng_seed`` is not read.
     Returns (best Solution, its sum rate, trace). The trace has
     n_iterations + 1 entries; index 0 is the best of the random
     initialization and the series is non-decreasing. ``callback(t, swarm)``,
@@ -270,8 +271,6 @@ def optimize(channels, scenario, cfg, rng=None, callback=None):
     when a move overflows because the update coefficients make the swarm
     diverge.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     for mine, theirs in (
         (scenario.n_antennas, channels.n_antennas),
         (scenario.n_users, channels.n_users),

@@ -90,10 +90,9 @@ class ScenarioConfig:
         orthogonal beams).
     n_users : int
         Single-antenna users served in the downlink.
-    n_ris : int
-        Reflecting surfaces placed on the cell edge.
     uc_per_ris : tuple[int, ...]
-        Unit-cell count of each surface; its sum is the total cell count.
+        Unit-cell count of each surface on the cell edge, stored as a tuple;
+        its length is the surface count ``n_ris``, its sum the cell total.
     n_nlos_paths : int
         Scattered paths per link in addition to the direct one.
     n_selected_beams : int
@@ -112,7 +111,6 @@ class ScenarioConfig:
 
     n_antennas: int = 64
     n_users: int = 8
-    n_ris: int = 8
     uc_per_ris: tuple = (16,) * 8
     n_nlos_paths: int = 2
     n_selected_beams: int = 8
@@ -125,20 +123,17 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("n_antennas", 1), ("n_users", 1), ("n_ris", 1),
+        for name, minimum in (("n_antennas", 1), ("n_users", 1),
                               ("n_nlos_paths", 0), ("n_selected_beams", None),
                               ("rng_seed", 0)):
             _require_int(name, getattr(self, name), minimum)
+        object.__setattr__(self, "uc_per_ris", tuple(self.uc_per_ris))
+        _require_int("len(uc_per_ris)", len(self.uc_per_ris), 1)
         for j, m in enumerate(self.uc_per_ris):
             _require_int(f"uc_per_ris[{j}]", m, 1)
         for name in ("total_power", "noise_variance", "carrier_freq_ghz",
                      "cell_radius_m", "ue_ring_min_m", "ue_ring_max_m"):
             _require_finite(name, getattr(self, name))
-        if len(self.uc_per_ris) != self.n_ris:
-            raise ValueError(
-                f"uc_per_ris must list one cell count per surface "
-                f"(got {len(self.uc_per_ris)} entries for n_ris={self.n_ris})"
-            )
         if not self.n_users <= self.n_selected_beams <= self.n_antennas:
             raise ValueError(
                 f"n_selected_beams must satisfy n_users <= n_selected_beams "
@@ -160,26 +155,39 @@ class ScenarioConfig:
             )
 
     @property
+    def n_ris(self):
+        """Number of surfaces, one per entry of ``uc_per_ris``."""
+        return len(self.uc_per_ris)
+
+    @property
     def total_uc(self):
         """Total number of unit cells over all surfaces."""
         return sum(self.uc_per_ris)
 
 
-def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, **kwargs):
+def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, n_ris=None,
+                **kwargs):
     """Build a :class:`ScenarioConfig` from dBm power levels.
 
-    ``m_total`` (default 128) splits unit cells evenly over the surfaces;
-    pass ``uc_per_ris`` explicitly for uneven layouts.
+    ``m_total`` (default 128) splits cells evenly over ``n_ris`` (default 8)
+    surfaces; ``uc_per_ris`` sets an uneven layout, and ``n_ris`` must agree.
     """
     total_power = _level_to_watts("power_dbm", power_dbm)
     noise_variance = _level_to_watts("noise_dbm", noise_dbm)
     if "uc_per_ris" in kwargs:
         if m_total is not None:
             raise ValueError("pass either m_total or uc_per_ris, not both")
+        if n_ris is not None:
+            _require_int("n_ris", n_ris, 1)
+            if len(kwargs["uc_per_ris"]) != n_ris:
+                raise ValueError(
+                    f"uc_per_ris must list one cell count per surface "
+                    f"(got {len(kwargs['uc_per_ris'])} entries for n_ris={n_ris})"
+                )
     else:
         m_total = 128 if m_total is None else m_total
         _require_int("m_total", m_total, None)
-        n_ris = kwargs.get("n_ris", ScenarioConfig.n_ris)
+        n_ris = len(ScenarioConfig.uc_per_ris) if n_ris is None else n_ris
         kwargs["uc_per_ris"] = even_split(m_total, n_ris)
     return ScenarioConfig(
         total_power=total_power, noise_variance=noise_variance, **kwargs

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,25 @@ class TestChannelSet:
             ChannelSet((c,), (g, g), dft_matrix(4).copy())
         with pytest.raises(ValueError, match="inconsistent"):
             ChannelSet((c,), (np.zeros((2, 2), dtype=complex),), dft_matrix(4).copy())
+
+    def test_needs_a_surface(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^len\(bs_ris\) must be >= 1"):
+                ChannelSet(bs_ris=[], ris_ue=[], dft_matrix=dft_matrix(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["bs_ris[0]", "ris_ue[1]", "dft_matrix"])
+    def test_rejects_non_finite_entries(self, block, bad):
+        rng = np.random.default_rng(0)
+        c = [rng.normal(size=(4, 3)) + 0j for _ in range(2)]
+        g = [rng.normal(size=(3, 2)) + 0j for _ in range(2)]
+        u = dft_matrix(4).copy()
+        {"bs_ris[0]": c[0], "ris_ue[1]": g[1], "dft_matrix": u}[block][1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match=rf"^{re.escape(block)} must be finite"):
+                ChannelSet(c, g, u)
 
     def test_immutable_and_properties(self):
         cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=6,

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from beamswarm.cli import _assemble, build_parser, main
+from beamswarm.cli import _SETTINGS_FLAGS, _assemble, build_parser, main
 from beamswarm.harness import summary_path_for
+from beamswarm.scenario import dbm_to_watts
 
 _TINY = [
     "--n-antennas", "8",
@@ -90,6 +91,16 @@ class TestErrors:
         assert "inertia=50.0" in err
         assert err.count("\n") == 1  # no RuntimeWarning ahead of the error line
 
+    def test_pso_seed_key_rejected(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"rng_seed": 4, "pso_seed": 9}), encoding="utf-8")
+        code, out, err = _run(["trial", "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: TypeError:")
+        assert "'pso_seed'" in err
+        assert err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         code, _, err = _run(
             ["trial", "--config", "/nonexistent/config.json"], capsys
@@ -116,6 +127,20 @@ class TestErrors:
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+# settings-flag destination: (flag value, where it lands, what it holds)
+_LANDS_IN = {
+    "n_users": ("4", lambda s, p: s.n_users, 4),
+    "m_total": ("64", lambda s, p: s.uc_per_ris, (8,) * 8),
+    "n_selected_beams": ("12", lambda s, p: s.n_selected_beams, 12),
+    "n_antennas": ("32", lambda s, p: s.n_antennas, 32),
+    "n_ris": ("4", lambda s, p: s.uc_per_ris, (32,) * 4),
+    "power_dbm": ("30", lambda s, p: s.total_power, dbm_to_watts(30.0)),
+    "noise_dbm": ("-100", lambda s, p: s.noise_variance, dbm_to_watts(-100.0)),
+    "n_iterations": ("7", lambda s, p: p.n_iterations, 7),
+    "n_particles": ("9", lambda s, p: p.n_particles, 9),
+}
+
+
 class TestAssemble:
     def _args(self, argv):
         return build_parser().parse_args(argv)
@@ -129,7 +154,7 @@ class TestAssemble:
         scenario, pso = _assemble(self._args(["trial", "--config", str(cfg)]))
         assert scenario.n_antennas == 8
         assert scenario.rng_seed == 4
-        assert pso.rng_seed == 4  # pso seed defaults to the scenario seed
+        assert pso.rng_seed == 4  # rng_seed seeds the swarm too
         assert pso.n_particles == 6
 
     def test_flags_beat_config_file(self, tmp_path):
@@ -143,20 +168,11 @@ class TestAssemble:
         )
         assert scenario.n_users == 2
 
-    def test_separate_pso_seed_honored(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "n_antennas": 8, "n_users": 2, "n_ris": 2, "m_total": 8,
-            "n_selected_beams": 4, "rng_seed": 4, "pso_seed": 9,
-        }), encoding="utf-8")
-        scenario, pso = _assemble(self._args(["trial", "--config", str(cfg)]))
-        assert (scenario.rng_seed, pso.rng_seed) == (4, 9)
-
     def test_seed_flag_overrides_both_streams(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "n_antennas": 8, "n_users": 2, "n_ris": 2, "m_total": 8,
-            "n_selected_beams": 4, "rng_seed": 4, "pso_seed": 9,
+            "n_selected_beams": 4, "rng_seed": 4,
         }), encoding="utf-8")
         scenario, pso = _assemble(
             self._args(["trial", "--config", str(cfg), "--seed", "12"])
@@ -177,6 +193,12 @@ class TestAssemble:
         cfg.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError, match="one JSON object"):
             _assemble(self._args(["trial", "--config", str(cfg)]))
+
+    @pytest.mark.parametrize("flag, dest", [(f[0], f[2]) for f in _SETTINGS_FLAGS])
+    def test_settings_flag_lands_in_its_field(self, flag, dest):
+        value, read, expected = _LANDS_IN[dest]
+        scenario, pso = _assemble(self._args(["trial", flag, value]))
+        assert read(scenario, pso) == expected
 
     def test_defaults_without_any_input(self):
         scenario, pso = _assemble(self._args(["trial"]))

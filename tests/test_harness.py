@@ -272,8 +272,9 @@ _BELOW_MINIMUM = {  # case: (build, the field the message names, min, value)
     "ScenarioConfig.n_antennas": (lambda: ScenarioConfig(n_antennas=0),
                                   "n_antennas", 1, 0),
     "ScenarioConfig.n_users": (lambda: ScenarioConfig(n_users=0), "n_users", 1, 0),
-    "ScenarioConfig.n_ris": (lambda: ScenarioConfig(n_ris=0), "n_ris", 1, 0),
     "make_config.n_ris": (lambda: make_config(n_ris=0), "n_ris", 1, 0),
+    "make_config.n_ris_with_uc_per_ris": (
+        lambda: make_config(n_ris=0, uc_per_ris=(16,)), "n_ris", 1, 0),
     "ScenarioConfig.uc_per_ris": (
         lambda: make_config(n_ris=2, uc_per_ris=(16, 0)), r"uc_per_ris\[1\]", 1, 0),
     "ScenarioConfig.n_nlos_paths": (lambda: make_config(n_nlos_paths=-1),

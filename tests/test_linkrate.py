@@ -276,6 +276,15 @@ class TestBoundary:
         with pytest.raises(ValueError, match="powers and sigma2"):
             sum_rate(np.array([[1e-6 + 0j], [0j]]), [0], [1e27], 1e-303)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_channel(self, bad):
+        h = _random_beamspace(np.random.default_rng(30), 4, 2)
+        h[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="^h_beam must be finite"):
+                sum_rate(h, [0, 1], [1.0, 1.0], 1e-3)
+
 
 class TestSumRate:
     def test_zero_powers(self):

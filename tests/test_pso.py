@@ -509,12 +509,10 @@ class TestOptimize:
         _, _, t2 = optimize(channels, cfg, pcfg, derive_stream(2, 0))
         assert np.array_equal(t1, t2)
 
-    def test_default_rng_from_config_seed(self):
+    def test_rng_has_no_default(self):
         cfg, channels = _small_setup()
-        pcfg = PsoConfig(n_particles=8, n_iterations=10, rng_seed=123)
-        _, _, t1 = optimize(channels, cfg, pcfg)
-        _, _, t2 = optimize(channels, cfg, pcfg, np.random.default_rng(123))
-        assert np.array_equal(t1, t2)
+        with pytest.raises(TypeError, match="rng"):
+            optimize(channels, cfg, PsoConfig(n_particles=8, n_iterations=10))
 
     def test_best_solution_reproduces_best_rate(self):
         cfg, channels = _small_setup()
@@ -541,7 +539,8 @@ class TestOptimize:
 
         wrong = dataclasses.replace(cfg, n_antennas=16, n_selected_beams=4)
         with pytest.raises(ValueError, match="do not match"):
-            optimize(channels, wrong, PsoConfig(n_particles=4, n_iterations=2))
+            optimize(channels, wrong, PsoConfig(n_particles=4, n_iterations=2),
+                     derive_stream(0, 1))
 
     def test_diverging_swarm_rejected(self):
         cfg, channels = _small_setup()

@@ -72,9 +72,30 @@ class TestScenarioConfig:
 
     def test_uc_list_validation(self):
         with pytest.raises(ValueError, match="uc_per_ris"):
-            make_config(uc_per_ris=(16,) * 7)
-        with pytest.raises(ValueError, match="uc_per_ris"):
             make_config(uc_per_ris=(16,) * 7 + (0,))
+
+    def test_surface_count_is_the_layout_length(self):
+        assert ScenarioConfig(uc_per_ris=(32,) * 4).n_ris == 4
+        assert make_config(uc_per_ris=(16,) * 7).n_ris == 7
+        with pytest.raises(TypeError, match="n_ris"):
+            ScenarioConfig(n_ris=4)  # derived, not settable
+
+    def test_empty_layout_rejected(self):
+        match = r"^len\(uc_per_ris\) must be >= 1 \(got 0\)$"
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(uc_per_ris=())
+        with pytest.raises(ValueError, match=match):
+            make_config(uc_per_ris=())
+
+    def test_surface_count_must_match_layout(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^uc_per_ris must list one cell count per surface "
+                  r"\(got 3 entries for n_ris=2\)$",
+        ):
+            make_config(n_ris=2, uc_per_ris=(5, 9, 2))
+        cfg = make_config(n_ris=3, uc_per_ris=(5, 9, 2))
+        assert (cfg.n_ris, cfg.uc_per_ris, cfg.total_uc) == (3, (5, 9, 2), 16)
 
     def test_ring_validation(self):
         with pytest.raises(ValueError, match="ue_ring"):
