@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import scenario
+from .linkrate import _Axis, _checked_array
 
 
 def steering(theta, n_elements):
@@ -43,12 +44,7 @@ def ris_ue_channel(gains, thetas, n_uc):
     (K, P) input gives one column per user and a (P,) input one vector.
     """
     gains = np.asarray(gains)
-    thetas = np.asarray(thetas)
-    if gains.shape != thetas.shape:
-        raise ValueError(
-            f"gains and thetas must pair up one per path "
-            f"(got {gains.shape} vs {thetas.shape})"
-        )
+    thetas = _checked_array("thetas", thetas, gains.shape)  # one per path
     w = _path_weights(np.sqrt(n_uc), gains.shape[-1] - 1)
     # one (n_uc, P) @ (P, 1) product per link, so a column matches its (P,)
     # call bit for bit; a sum over the path axis rounds apart for P >= 4
@@ -64,13 +60,9 @@ def bs_ris_channel(gains, dep_thetas, arr_thetas, n_antennas, n_uc):
     ``(n_antennas, n_uc)`` matrix.
     """
     gains = np.asarray(gains)
-    dep_thetas = np.asarray(dep_thetas)
-    arr_thetas = np.asarray(arr_thetas)
-    if not gains.shape == dep_thetas.shape == arr_thetas.shape:
-        raise ValueError(
-            f"gains, dep_thetas and arr_thetas must pair up one per path "
-            f"(got {gains.shape}, {dep_thetas.shape}, {arr_thetas.shape})"
-        )
+    # one angle of each kind per path
+    dep_thetas = _checked_array("dep_thetas", dep_thetas, gains.shape)
+    arr_thetas = _checked_array("arr_thetas", arr_thetas, gains.shape)
     w = _path_weights(np.sqrt(n_uc * n_antennas), gains.size - 1)
     a_bs = steering(dep_thetas, n_antennas)
     a_ris = steering(arr_thetas, n_uc)
@@ -107,28 +99,26 @@ class ChannelSet:
     dft_matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bs_ris", tuple(self.bs_ris))
-        object.__setattr__(self, "ris_ue", tuple(self.ris_ue))
-        n = self.dft_matrix.shape[0]
-        if self.dft_matrix.shape != (n, n):
-            raise ValueError("dft_matrix must be square")
-        if len(self.bs_ris) != len(self.ris_ue):
-            raise ValueError("bs_ris and ris_ue must have one matrix per surface")
+        n = np.shape(self.dft_matrix)[:1] or (_Axis("N"),)  # its rows fix N
+        u = _checked_array("dft_matrix", self.dft_matrix, n * 2, "numbers")
         scenario._require_int("len(bs_ris)", len(self.bs_ris), 1)
-        k = self.ris_ue[0].shape[1]
-        named = [("dft_matrix", self.dft_matrix)]
+        if len(self.ris_ue) != len(self.bs_ris):
+            raise ValueError(f"ris_ue must hold {len(self.bs_ris)} matrices, one per "
+                             f"surface of bs_ris (got {len(self.ris_ue)})")
+        # a NaN or inf entry would make _low_rank drop or poison its surface;
+        # the users of surface 0 fix K for the others
+        bs_ris, ris_ue, k = [], [], _Axis("K")
         for j, (c, g) in enumerate(zip(self.bs_ris, self.ris_ue)):
-            if c.shape[0] != n or c.shape[1] != g.shape[0] or g.shape[1] != k:
-                raise ValueError(
-                    f"inconsistent shapes: C {c.shape}, G {g.shape}, N={n}, K={k}"
-                )
-            named += [(f"bs_ris[{j}]", c), (f"ris_ue[{j}]", g)]
-        # a NaN or inf entry would make _low_rank drop or poison its surface
-        for name, arr in named:
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite (it holds NaN or inf)")
-        for _, arr in named:
+            c = _checked_array(f"bs_ris[{j}]", c, (*n, _Axis(f"M_{j}")), "numbers")
+            g = _checked_array(f"ris_ue[{j}]", g, (c.shape[1], k), "numbers")
+            bs_ris.append(c)
+            ris_ue.append(g)
+            k = g.shape[1]
+        for arr in (u, *bs_ris, *ris_ue):
             arr.setflags(write=False)
+        object.__setattr__(self, "dft_matrix", u)
+        object.__setattr__(self, "bs_ris", tuple(bs_ris))
+        object.__setattr__(self, "ris_ue", tuple(ris_ue))
 
     @property
     def n_antennas(self):
@@ -149,11 +139,7 @@ class ChannelSet:
 
 def split_phases(phases, uc_per_ris):
     """Partition a flat phase vector into per-surface blocks."""
-    phases = np.asarray(phases)
-    if phases.shape[0] != sum(uc_per_ris):
-        raise ValueError(
-            f"expected {sum(uc_per_ris)} phases, got {phases.shape[0]}"
-        )
+    phases = _checked_array("phases", phases, (sum(uc_per_ris),))
     bounds = np.cumsum(uc_per_ris)[:-1]
     return np.split(phases, bounds)
 

@@ -3,8 +3,11 @@
 Settings come from an optional JSON config file of flat keys, with command
 line flags taking precedence: the keywords of ``make_config`` (powers in
 dBm), the ``PsoConfig`` fields, and ``rng_seed``, which seeds the channels
-and the swarm as ``--seed`` does. Other keys fail. Exits 0 on success;
-failures print one ``error: ...`` line on stderr.
+and the swarm as ``--seed`` does. Other keys fail. ``--m-total`` or
+``--n-ris`` replaces the file's ``uc_per_ris``, whose sum and length stand
+in for whichever of the two is unset; a file may not set both ``m_total``
+and ``uc_per_ris``. Exits 0 on success; failures print one ``error: ...``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .harness import (
     run_trial,
 )
 from .pso import PsoConfig
-from .scenario import make_config
+from .scenario import _require_ints, make_config
 
 # (flag, type, destination, help); a flag's value wins over its config key
 _SETTINGS_FLAGS = (
@@ -98,10 +101,14 @@ def _assemble(args):
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold one JSON object")
         settings.update(loaded)
-    for _, _, dest, _ in _SETTINGS_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            settings[dest] = value
+    flags = {dest: getattr(args, dest) for _, _, dest, _ in _SETTINGS_FLAGS
+             if getattr(args, dest) is not None}
+    if ("uc_per_ris" in settings and "m_total" not in settings
+            and flags.keys() & {"m_total", "n_ris"}):
+        cells = _require_ints("uc_per_ris", settings.pop("uc_per_ris"))
+        settings["m_total"] = sum(cells)
+        settings.setdefault("n_ris", len(cells))
+    settings.update(flags)
     if args.seed is not None:
         settings["rng_seed"] = args.seed
     seed = settings.pop("rng_seed", 0)

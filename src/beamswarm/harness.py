@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from .channel import realize_channels
 from .pso import PsoConfig, optimize
 from .scenario import (
-    ScenarioConfig, _require_int, derive_seed, derive_stream, even_split
+    ScenarioConfig, _require_int, _require_ints, derive_seed, derive_stream, even_split
 )
 
 SWEEP_AXES = ("n_users", "n_selected_beams", "m_total", "n_iterations")
@@ -45,11 +44,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"sweep_param must be one of {SWEEP_AXES} (got {self.sweep_param!r})"
             )
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        if not self.sweep_values:
-            raise ValueError("sweep_values must be non-empty")
-        for i, value in enumerate(self.sweep_values):
-            _require_int(f"sweep_values[{i}]", value, None)
+        object.__setattr__(self, "sweep_values",
+                           _require_ints("sweep_values", self.sweep_values))
         _require_int("n_trials", self.n_trials, 1)
         for value in self.sweep_values:
             derive_configs(self, value)  # rejects infeasible derived configs
@@ -57,11 +53,8 @@ class ExperimentSpec:
 
 def derive_configs(spec, value):
     """Configs for one sweep value; raises naming the violated constraint."""
-    value = operator.index(value)
     scenario, pso_cfg = spec.scenario, spec.pso
     try:
-        if value < 1:
-            raise ValueError("sweep values must be positive integers")
         if spec.sweep_param == "n_users":
             scenario = dataclasses.replace(scenario, n_users=value)
         elif spec.sweep_param == "n_selected_beams":

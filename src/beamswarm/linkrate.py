@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .scenario import _FLOAT_MAX, _require_real
+
 _LN2 = np.log(2.0)
 
 # largest |phase| that sum_rates accepts; _unit_phasors keeps 1e-15 up to here
@@ -76,41 +78,75 @@ class RateReport:
     sum_rate: float
 
 
+class _Axis(str):
+    """A shape label, such as ``A``, for an axis of any length: it equals
+    every int, so one tuple comparison checks a shape."""
+
+    __repr__ = str.__str__  # a shape prints as (10, A)
+
+    def __eq__(self, other):
+        return True
+
+
+_A, _N_S = _Axis("A"), _Axis("N_s")
+# what each dtype family of _checked_array admits, by numpy dtype kind
+_KINDS = {"real numbers": "biuf", "integers": "iu", "numbers": "biufc"}
+
+
+def _checked_array(name, values, shape, family="real numbers",
+                   low=-_FLOAT_MAX, high=_FLOAT_MAX):
+    """``values`` as an array of ``shape`` (ints and :class:`_Axis` labels)
+    and dtype ``family`` with finite entries in [low, high], real numbers as
+    floats; otherwise a ValueError that names the argument. A real array
+    takes one ``min`` and one ``max`` pass, a complex one ``isfinite``."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in _KINDS[family]:
+        raise ValueError(f"{name} must hold {family} (got dtype {values.dtype})")
+    if values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape} (got {values.shape})")
+    if kind == "c":
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite (it holds NaN or inf)")
+        return values
+    if family == "real numbers":
+        values = values.astype(float, copy=False)
+    lo, hi = values.min(initial=0), values.max(initial=0)
+    # NaN fails both comparisons, and inf fails the default finite bounds
+    if not (low <= lo and hi <= high):
+        raise ValueError(
+            f"{name} must be finite and lie in [{low}, {high}] "
+            f"(got entries from {lo} to {hi})"
+        )
+    return values
+
+
 def validate_beam_set(selected, n_antennas):
     """Check a beam index set and return it as a sorted int array.
 
-    Indices must be integers, unique, and lie in [0, n_antennas); a
-    negative index is rejected rather than wrapped.
+    At least one index; indices must be integers, unique, and lie in
+    [0, n_antennas); a negative index is rejected rather than wrapped.
     """
     sel = np.array(selected)  # a copy: the result never aliases the caller's array
-    if sel.ndim != 1:
-        raise ValueError(f"a beam set must be 1-D (got shape {sel.shape})")
-    return _sorted_beam_sets(sel[:, None], n_antennas)[:, 0]
+    if not sel.size:  # before the dtype check: an empty list makes floats
+        raise ValueError("selected must hold at least one beam index")
+    sel = _checked_array("selected", sel, (_N_S,), "integers", 0, n_antennas - 1)
+    return _sorted_beam_sets("selected", sel[:, None])[:, 0]
 
 
-def _sorted_beam_sets(beam_sets, n_antennas):
-    """Check (N_s, A) beam sets, one per column, and sort them down axis 0.
+def _sorted_beam_sets(name, beam_sets):
+    """Sort checked (N_s, A) beam sets, one per column, down axis 0, and
+    reject a set that repeats an index.
 
     Sets that are sorted already come back as they are, not copied.
     """
-    if beam_sets.dtype.kind not in "iu":
-        raise ValueError(f"beam indices must be integers (got dtype {beam_sets.dtype})")
     # strictly increasing columns are sorted and unique as they are
-    increasing = (beam_sets[1:] > beam_sets[:-1]).all()
-    ordered = beam_sets if increasing else np.sort(beam_sets, axis=0)
-    if ordered.size and (ordered[0].min() < 0 or ordered[-1].max() >= n_antennas):
-        raise ValueError(f"beam indices must lie in [0, {n_antennas})")
-    if not increasing and (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("beam indices must be unique within each beam set")
+    if (beam_sets[1:] > beam_sets[:-1]).all():
+        return beam_sets
+    ordered = np.sort(beam_sets, axis=0)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError(f"{name} must be unique within each beam set")
     return ordered
-
-
-def _real_array(name, values):
-    """``values`` as a float array; complex and non-numeric dtypes fail."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be real numbers (got dtype {values.dtype})")
-    return values.astype(float, copy=False)
 
 
 def _sinr_work(a, k, n_s):
@@ -155,20 +191,10 @@ def sum_rate(h_beam, selected, powers, sigma2):
     ``powers`` the per-user transmit powers in watts, finite and >= 0.
     Raises ValueError when an SINR overflows at these powers and ``sigma2``.
     """
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"sigma2 must be finite and > 0 (got {sigma2})")
-    h_beam = np.asarray(h_beam)
+    _require_real("sigma2", sigma2, 0.0, strict=True)
+    h_beam = _checked_array("h_beam", h_beam, (_Axis("N"), _Axis("K")), "numbers")
     n, k = h_beam.shape
-    if not np.isfinite(h_beam).all():
-        raise ValueError("h_beam must be finite (it holds NaN or inf)")
-    powers = _real_array("powers", powers)
-    if powers.shape != (k,):
-        raise ValueError(
-            f"powers must hold one entry per user: shape ({k},) "
-            f"(got {powers.shape})"
-        )
-    if not (np.isfinite(powers).all() and (powers >= 0.0).all()):
-        raise ValueError(f"powers must be finite and >= 0 (got {powers.tolist()})")
+    powers = _checked_array("powers", powers, (k,), low=0.0)
     idx = validate_beam_set(selected, n)
     sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2,
                       _sinr_work(1, k, idx.size))[0]
@@ -312,38 +338,14 @@ class SumRateEvaluator:
         vector of sum rates; the order of the beams within a column does
         not change them.
         """
-        if not (math.isfinite(noise_variance) and noise_variance > 0.0):
-            raise ValueError(
-                f"noise_variance must be finite and > 0 (got {noise_variance})"
-            )
-        phases = _real_array("phases", phases)
-        beam_sets = np.asarray(beam_sets)
-        powers = _real_array("powers", powers)
-        if phases.ndim != 2 or phases.shape[0] != self.total_uc:
-            raise ValueError(
-                f"phases must be (M, A) with M={self.total_uc} "
-                f"(got shape {phases.shape})"
-            )
+        _require_real("noise_variance", noise_variance, 0.0, strict=True)
+        phases = _checked_array("phases", phases, (self.total_uc, _A),
+                                low=-_PHASE_BOUND, high=_PHASE_BOUND)
         a = phases.shape[1]
-        if beam_sets.ndim != 2 or beam_sets.shape[1] != a:
-            raise ValueError(
-                f"beam_sets must be (N_s, A) with A={a} (got shape {beam_sets.shape})"
-            )
-        if powers.shape != (self.n_users, a):
-            raise ValueError(
-                f"powers must be (K, A) = ({self.n_users}, {a}) "
-                f"(got shape {powers.shape})"
-            )
-        # NaN fails both comparisons
-        if not (-_PHASE_BOUND <= phases.min(initial=0.0)
-                and phases.max(initial=0.0) <= _PHASE_BOUND):
-            raise ValueError("phases must be finite with |phase| <= 2^20 rad")
-        # NaN fails both comparisons here too
-        if not (0.0 <= powers.min(initial=0.0)
-                and powers.max(initial=0.0) < math.inf):
-            raise ValueError("powers must be finite and >= 0")
-        beam_sets = _sorted_beam_sets(beam_sets, self.n_antennas)
+        beam_sets = _sorted_beam_sets("beam_sets", _checked_array(
+            "beam_sets", beam_sets, (_N_S, a), "integers", 0, self.n_antennas - 1))
+        powers = _checked_array("powers", powers, (self.n_users, a), low=0.0)
         h_sel = self.beamspace_channels(phases, beam_sets)  # (A, K, N_s)
         work = self._buffers(a, beam_sets.shape[0])[4]
         sinrs = _mrt_sinrs(h_sel, powers.T, noise_variance, work)
-        return np.log1p(sinrs).sum(axis=1) / _LN2
+        return np.log1p(sinrs, out=sinrs).sum(axis=1) / _LN2

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .linkrate import SumRateEvaluator
-from .scenario import _require_int
+from .scenario import _require_int, _require_real
 
 _TWO_PI = 2.0 * np.pi
 
@@ -43,9 +43,7 @@ class PsoConfig:
                 f"distinct neighbors (got {self.n_particles})"
             )
         for name in ("inertia", "learn_global", "learn_local"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0 (got {value})")
+            _require_real(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -271,18 +269,11 @@ def optimize(channels, scenario, cfg, rng, callback=None):
     when a move overflows because the update coefficients make the swarm
     diverge.
     """
-    for mine, theirs in (
-        (scenario.n_antennas, channels.n_antennas),
-        (scenario.n_users, channels.n_users),
-        (scenario.total_uc, channels.total_uc),
-    ):
-        if mine != theirs:
-            raise ValueError(
-                f"scenario dimensions (N={scenario.n_antennas}, "
-                f"K={scenario.n_users}, M={scenario.total_uc}) do not match "
-                f"the channel set (N={channels.n_antennas}, "
-                f"K={channels.n_users}, M={channels.total_uc})"
-            )
+    mine = (scenario.n_antennas, scenario.n_users, scenario.total_uc)
+    theirs = (channels.n_antennas, channels.n_users, channels.total_uc)
+    if mine != theirs:
+        raise ValueError(f"scenario dimensions (N, K, M) = {mine} do not match "
+                         f"the channel set's {theirs}")
     evaluator = SumRateEvaluator(channels)
     n, k = scenario.n_antennas, scenario.n_users
     n_sel = scenario.n_selected_beams

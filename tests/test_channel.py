@@ -1,6 +1,3 @@
-import re
-import warnings
-
 import numpy as np
 import pytest
 
@@ -16,6 +13,7 @@ from beamswarm.channel import (
     to_beamspace,
 )
 from beamswarm.scenario import derive_stream, draw_angles, make_config, place_nodes
+from test_boundary import legacy, reject
 
 
 class TestSteering:
@@ -34,8 +32,7 @@ class TestSteering:
                 )
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            steering(0.0, 0)
+        reject("steering.n_elements", "below")
 
     def test_array_gives_one_column_per_frequency(self):
         thetas = np.array([[-0.3, 0.1], [0.25, 0.4]])
@@ -157,34 +154,20 @@ class TestDftMatrix:
 
 
 class TestChannelSet:
+    # bad blocks are cells of tests/test_boundary.py's table
     def test_shape_validation(self):
-        c = np.zeros((4, 3), dtype=complex)
-        g = np.zeros((3, 2), dtype=complex)
-        with pytest.raises(ValueError, match="square"):
-            ChannelSet((c,), (g,), np.zeros((4, 3), dtype=complex))
-        with pytest.raises(ValueError, match="per surface"):
-            ChannelSet((c,), (g, g), dft_matrix(4).copy())
-        with pytest.raises(ValueError, match="inconsistent"):
-            ChannelSet((c,), (np.zeros((2, 2), dtype=complex),), dft_matrix(4).copy())
+        reject("ChannelSet.dft_matrix", "shape")
+        reject("ChannelSet.ris_ue", "count")
+        reject("ChannelSet.ris_ue", "shape")
 
     def test_needs_a_surface(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^len\(bs_ris\) must be >= 1"):
-                ChannelSet(bs_ris=[], ris_ue=[], dft_matrix=dft_matrix(4))
+        reject("ChannelSet.bs_ris", "empty")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("block", ["bs_ris[0]", "ris_ue[1]", "dft_matrix"])
-    def test_rejects_non_finite_entries(self, block, bad):
-        rng = np.random.default_rng(0)
-        c = [rng.normal(size=(4, 3)) + 0j for _ in range(2)]
-        g = [rng.normal(size=(3, 2)) + 0j for _ in range(2)]
-        u = dft_matrix(4).copy()
-        {"bs_ris[0]": c[0], "ris_ue[1]": g[1], "dft_matrix": u}[block][1, 1] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning on the way
-            with pytest.raises(ValueError, match=rf"^{re.escape(block)} must be finite"):
-                ChannelSet(c, g, u)
+    @legacy({f"{block}-{bad}": (f"ChannelSet.{row}", bad) for bad in ("nan", "inf")
+             for block, row in (("bs_ris[0]", "bs_ris"), ("ris_ue[1]", "ris_ue"),
+                                ("dft_matrix", "dft_matrix"))})
+    def test_rejects_non_finite_entries(self, key, cls):
+        reject(key, cls)
 
     def test_immutable_and_properties(self):
         cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=6,

@@ -188,6 +188,24 @@ class TestAssemble:
         scenario, _ = _assemble(self._args(["trial", "--config", str(cfg)]))
         assert scenario.uc_per_ris == (5, 3)
 
+    @pytest.mark.parametrize("file, flags, layout", [
+        ({"uc_per_ris": [4, 4]}, ["--m-total", "16"], (8, 8)),
+        ({"uc_per_ris": [4, 4]}, ["--n-ris", "4"], (2, 2, 2, 2)),
+        ({"uc_per_ris": [4, 4]}, ["--m-total", "12", "--n-ris", "3"], (4, 4, 4)),
+        ({"n_ris": 3, "uc_per_ris": [5, 9, 2]}, ["--m-total", "32"], (11, 11, 10)),
+    ])
+    def test_layout_flag_replaces_the_files_cells(self, tmp_path, file, flags, layout):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file), encoding="utf-8")
+        scenario, _ = _assemble(self._args(["trial", "--config", str(cfg), *flags]))
+        assert scenario.uc_per_ris == layout
+
+    def test_file_with_both_layouts_still_fails(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_total": 8, "uc_per_ris": [4, 4]}), encoding="utf-8")
+        with pytest.raises(ValueError, match="not both"):
+            _assemble(self._args(["trial", "--config", str(cfg), "--m-total", "16"]))
+
     def test_non_object_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")

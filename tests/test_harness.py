@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from beamswarm import harness
-from beamswarm.channel import dft_matrix, steering
 from beamswarm.harness import (
     ExperimentSpec,
     SweepResult,
@@ -19,7 +18,8 @@ from beamswarm.harness import (
     summary_path_for,
 )
 from beamswarm.pso import PsoConfig
-from beamswarm.scenario import ScenarioConfig, derive_seed, derive_stream, make_config
+from beamswarm.scenario import derive_seed, make_config
+from test_boundary import INTEGER_ROWS, TABLE, legacy, reject
 
 
 def _blas_threads(_):
@@ -57,12 +57,10 @@ class TestExperimentSpec:
             _spec(sweep_param="carrier_freq_ghz")
 
     def test_rejects_empty_values(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            _spec(sweep_values=())
+        reject("ExperimentSpec.sweep_values", "empty")
 
     def test_rejects_bad_trial_count(self):
-        with pytest.raises(ValueError, match="n_trials"):
-            _spec(n_trials=0)
+        reject("ExperimentSpec.n_trials", "below")
 
     def test_rejects_infeasible_derived_config(self):
         # n_users=16 would exceed the base n_selected_beams=4
@@ -74,22 +72,17 @@ class TestExperimentSpec:
             _spec(sweep_param="m_total", sweep_values=(1,))
 
     def test_rejects_nonpositive_value(self):
-        with pytest.raises(ValueError, match="positive"):
-            _spec(sweep_param="n_iterations", sweep_values=(0,))
+        reject("ExperimentSpec.sweep_values", "below")
 
-    @pytest.mark.parametrize(
-        "overrides, field",
-        [
-            ({"n_trials": 2.5}, "n_trials"),
-            ({"n_trials": 2.0}, "n_trials"),
-            ({"sweep_values": (2.7,)}, r"sweep_values\[0\]"),
-            ({"sweep_values": (2, 4.0)}, r"sweep_values\[1\]"),
-            ({"sweep_values": ("3",)}, r"sweep_values\[0\]"),
-        ],
-    )
-    def test_rejects_non_integral_counts(self, overrides, field):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            _spec(**overrides)
+    @legacy({
+        "overrides0-n_trials": ("ExperimentSpec.n_trials", "float"),
+        "overrides1-n_trials": ("ExperimentSpec.n_trials", "float"),
+        r"overrides2-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "float"),
+        r"overrides3-sweep_values\[1\]": ("ExperimentSpec.sweep_values", "float"),
+        r"overrides4-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "str"),
+    })
+    def test_rejects_non_integral_counts(self, key, cls):
+        reject(key, cls)
 
     def test_values_are_tuplized(self):
         spec = _spec(sweep_values=[2, 4])
@@ -227,122 +220,47 @@ class TestRunSweep:
         assert np.all(result.stderrs == 0.0)
 
     def test_rejects_bad_job_count(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_sweep(_spec(), jobs=0)
-        with pytest.raises(ValueError, match="jobs must be an integer"):
-            run_sweep(_spec(), jobs=2.0)
+        reject("run_sweep.jobs", "below")
+        reject("run_sweep.jobs", "float")
 
 
-# operator.index accepts True and False; each integer field must not
-_BOOL_SIZES = {  # case: (build, the field the message names)
-    "PsoConfig.n_particles": (lambda: PsoConfig(n_particles=True), "n_particles"),
-    "PsoConfig.n_iterations": (lambda: PsoConfig(n_iterations=True), "n_iterations"),
-    "PsoConfig.rng_seed": (lambda: PsoConfig(rng_seed=False), "rng_seed"),
-    "ScenarioConfig.n_antennas": (lambda: ScenarioConfig(n_antennas=True),
-                                  "n_antennas"),
-    "ScenarioConfig.n_users": (lambda: ScenarioConfig(n_users=True), "n_users"),
-    "ScenarioConfig.n_ris": (lambda: make_config(n_ris=True), "n_ris"),
-    "ScenarioConfig.n_nlos_paths": (lambda: make_config(n_nlos_paths=False),
-                                    "n_nlos_paths"),
-    "ScenarioConfig.n_selected_beams": (lambda: make_config(n_selected_beams=True),
-                                        "n_selected_beams"),
-    "ScenarioConfig.rng_seed": (lambda: make_config(rng_seed=False), "rng_seed"),
-    "ScenarioConfig.uc_per_ris": (
-        lambda: make_config(n_ris=2, uc_per_ris=(16, True)), r"uc_per_ris\[1\]"),
-    "ExperimentSpec.sweep_values": (lambda: _spec(sweep_values=(True, 4)),
-                                    r"sweep_values\[0\]"),
-    "ExperimentSpec.n_trials": (lambda: _spec(n_trials=True), "n_trials"),
-    "jobs": (lambda: run_sweep(_spec(), jobs=True), "jobs"),
-    "run_trial.trial_index": (
-        lambda: run_trial(_base_scenario(), _base_pso(), True), "trial_index"),
-    "make_config.m_total": (lambda: make_config(n_ris=1, m_total=True), "m_total"),
-}
+# the cases of these three tests are cells of tests/test_boundary.py's table
+@legacy({**{key: (key, "bool") for key in INTEGER_ROWS},
+         "ScenarioConfig.n_ris": ("make_config.n_ris", "bool"),
+         "jobs": ("run_sweep.jobs", "bool")})
+def test_booleans_are_not_sizes(key, cls):
+    reject(key, cls)
 
 
-@pytest.mark.parametrize("case", list(_BOOL_SIZES))
-def test_booleans_are_not_sizes(case):
-    build, field = _BOOL_SIZES[case]
-    match = rf"^{field} must be an integer \(got (True|False)\)$"
-    with pytest.raises(ValueError, match=match):
-        build()
+@legacy({**{key: (key, "below") for key in INTEGER_ROWS if "below" in TABLE[key]},
+         "make_config.n_ris_with_uc_per_ris": ("make_config(uc_per_ris=(16,)).n_ris",
+                                               "below"),
+         "jobs": ("run_sweep.jobs", "below")})
+def test_integer_bounds_name_the_field(key, cls):
+    reject(key, cls)
 
 
-# each integer field one below its minimum
-_BELOW_MINIMUM = {  # case: (build, the field the message names, min, value)
-    "ScenarioConfig.n_antennas": (lambda: ScenarioConfig(n_antennas=0),
-                                  "n_antennas", 1, 0),
-    "ScenarioConfig.n_users": (lambda: ScenarioConfig(n_users=0), "n_users", 1, 0),
-    "make_config.n_ris": (lambda: make_config(n_ris=0), "n_ris", 1, 0),
-    "make_config.n_ris_with_uc_per_ris": (
-        lambda: make_config(n_ris=0, uc_per_ris=(16,)), "n_ris", 1, 0),
-    "ScenarioConfig.uc_per_ris": (
-        lambda: make_config(n_ris=2, uc_per_ris=(16, 0)), r"uc_per_ris\[1\]", 1, 0),
-    "ScenarioConfig.n_nlos_paths": (lambda: make_config(n_nlos_paths=-1),
-                                    "n_nlos_paths", 0, -1),
-    "ScenarioConfig.rng_seed": (lambda: make_config(rng_seed=-1), "rng_seed", 0, -1),
-    "PsoConfig.n_iterations": (lambda: PsoConfig(n_iterations=0),
-                               "n_iterations", 1, 0),
-    "PsoConfig.rng_seed": (lambda: PsoConfig(rng_seed=-1), "rng_seed", 0, -1),
-    "ExperimentSpec.n_trials": (lambda: _spec(n_trials=0), "n_trials", 1, 0),
-    "run_trial.trial_index": (
-        lambda: run_trial(_base_scenario(), _base_pso(), -1), "trial_index", 0, -1),
-    "jobs": (lambda: run_sweep(_spec(), jobs=0), "jobs", 1, 0),
-    "steering.n_elements": (lambda: steering(0.0, 0), "n_elements", 1, 0),
-    "dft_matrix.n": (lambda: dft_matrix(0), "n", 1, 0),
-}
-
-
-@pytest.mark.parametrize("case", list(_BELOW_MINIMUM))
-def test_integer_bounds_name_the_field(case):
-    build, field, minimum, value = _BELOW_MINIMUM[case]
-    match = rf"^{field} must be >= {minimum} \(got {value}\)$"
-    with pytest.raises(ValueError, match=match):
-        build()
-
-
-_NOT_INDICES = {  # case: (build, exception, message)
-    "trial_index_float": (lambda: run_trial(_base_scenario(), _base_pso(), 2.7),
-                          ValueError, r"^trial_index must be an integer \(got 2\.7\)$"),
-    "trial_index_negative": (lambda: run_trial(_base_scenario(), _base_pso(), -1),
-                             ValueError, r"^trial_index must be >= 0 \(got -1\)$"),
-    "trial_index_str": (lambda: run_trial(_base_scenario(), _base_pso(), "3"),
-                        ValueError, r"^trial_index must be an integer \(got '3'\)$"),
-    "derive_stream_float": (lambda: derive_stream(1.9), ValueError,
-                            r"^seed must be an integer \(got 1\.9\)$"),
-    "derive_seed_float_key": (lambda: derive_seed(0, 2.5), ValueError,
-                              r"^key\[0\] must be an integer \(got 2\.5\)$"),
-    "derive_seed_bool_seed": (lambda: derive_seed(True, 0), ValueError,
-                              r"^seed must be an integer \(got True\)$"),
-    "derive_stream_bool_key": (lambda: derive_stream(0, 1, False), ValueError,
-                               r"^key\[1\] must be an integer \(got False\)$"),
-    "derive_stream_negative_key": (lambda: derive_stream(0, -1), ValueError,
-                                   r"^key\[0\] must be >= 0 \(got -1\)$"),
-    "derive_stream_negative_seed": (lambda: derive_stream(-2, 0, 1), ValueError,
-                                    r"^seed must be >= 0 \(got -2\)$"),
-    "derive_seed_negative_seed": (lambda: derive_seed(-3, 0), ValueError,
-                                  r"^seed must be >= 0 \(got -3\)$"),
-    "derive_seed_negative_key": (lambda: derive_seed(0, 1, -4), ValueError,
-                                 r"^key\[1\] must be >= 0 \(got -4\)$"),
-    "m_total_float": (lambda: make_config(m_total=16.5), ValueError,
-                      r"^m_total must be an integer \(got 16\.5\)$"),
-    "m_total_nan": (lambda: make_config(m_total=float("nan")), ValueError,
-                    r"^m_total must be an integer \(got nan\)$"),
-    "m_total_str": (lambda: make_config(m_total="64"), ValueError,
-                    r"^m_total must be an integer \(got '64'\)$"),
-    "n_ris_float": (lambda: make_config(n_ris=2.5), ValueError,
-                    r"^n_ris must be an integer \(got 2\.5\)$"),
-    "dft_matrix_float": (lambda: dft_matrix(4.5), ValueError,
-                         r"^n must be an integer \(got 4\.5\)$"),
-    "steering_float": (lambda: steering(0.0, 3.0), ValueError,
-                       r"^n_elements must be an integer \(got 3\.0\)$"),
-}
-
-
-@pytest.mark.parametrize("case", list(_NOT_INDICES))
-def test_non_integral_indices_are_rejected_not_truncated(case):
-    build, error, match = _NOT_INDICES[case]
-    with pytest.raises(error, match=match):
-        build()
+@legacy({
+    "trial_index_float": ("run_trial.trial_index", "float"),
+    "trial_index_negative": ("run_trial.trial_index", "below"),
+    "trial_index_str": ("run_trial.trial_index", "str"),
+    "derive_stream_float": ("derive_stream.seed", "float"),
+    "derive_seed_float_key": ("derive_seed.key", "float"),
+    "derive_seed_bool_seed": ("derive_seed.seed", "bool"),
+    "derive_stream_bool_key": ("derive_stream.key", "bool"),
+    "derive_stream_negative_key": ("derive_stream.key", "below"),
+    "derive_stream_negative_seed": ("derive_stream.seed", "below"),
+    "derive_seed_negative_seed": ("derive_seed.seed", "below"),
+    "derive_seed_negative_key": ("derive_seed.key", "below"),
+    "m_total_float": ("make_config.m_total", "float"),
+    "m_total_nan": ("make_config.m_total", "nan"),
+    "m_total_str": ("make_config.m_total", "str"),
+    "n_ris_float": ("make_config.n_ris", "float"),
+    "dft_matrix_float": ("dft_matrix.n", "float"),
+    "steering_float": ("steering.n_elements", "float"),
+})
+def test_non_integral_indices_are_rejected_not_truncated(key, cls):
+    reject(key, cls)
 
 
 def _toy_result():

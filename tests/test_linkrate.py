@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from beamswarm.linkrate import (
 )
 from beamswarm.pso import Solution
 from beamswarm.scenario import derive_stream, make_config
+from test_boundary import legacy, reject
 
 
 # Independent oracle: explicit per-user matched-filter precoders, one
@@ -84,14 +83,8 @@ def test_validate_beam_set():
     assert list(validate_beam_set([3, 1], 4)) == [1, 3]
     ordered = np.array([1, 3])
     assert not np.shares_memory(validate_beam_set(ordered, 4), ordered)
-    with pytest.raises(ValueError, match="unique"):
-        validate_beam_set([1, 1], 4)
-    with pytest.raises(ValueError, match="lie in"):
-        validate_beam_set([1, 4], 4)
-    with pytest.raises(ValueError, match="lie in"):
-        validate_beam_set([-1, 2], 4)
-    with pytest.raises(ValueError, match="integer"):
-        validate_beam_set([0.0, 1.5], 4)
+    for cls in ("duplicate", "above", "below", "float", "empty"):
+        reject("sum_rate.selected", cls)  # sum_rate checks its beams here
 
 
 def _random_beamspace(rng, n=8, k=3):
@@ -127,9 +120,7 @@ class TestSinr:
             assert _sinr(k, h, mask, p, 1e-2) == pytest.approx(expected, rel=1e-12)
 
     def test_noise_domain_error(self):
-        h = _random_beamspace(np.random.default_rng(3), 4, 2)
-        with pytest.raises(ValueError, match="sigma2"):
-            _sinr(0, h, np.arange(4), np.array([1.0, 1.0]), 0.0)
+        reject("sum_rate.sigma2", "below")
 
 
 def _oracle_instance(rng, i):
@@ -244,46 +235,33 @@ class TestInvariants:
 
 
 class TestBoundary:
-    @pytest.mark.parametrize(
-        "selected, match",
-        [([0, 0, 1], "unique"), ([-1, 0, 1], "lie in"), ([0, 1, 4], "lie in")],
-    )
-    def test_rejects_bad_beam_sets(self, selected, match):
-        h = _random_beamspace(np.random.default_rng(27), 4, 2)
-        with pytest.raises(ValueError, match=match):
-            sum_rate(h, selected, np.ones(2), 1e-3)
+    # bad inputs are cells of tests/test_boundary.py's table
+    @legacy({"selected0-unique": ("sum_rate.selected", "duplicate"),
+             "selected1-lie in": ("sum_rate.selected", "below"),
+             "selected2-lie in": ("sum_rate.selected", "above")})
+    def test_rejects_bad_beam_sets(self, key, cls):
+        reject(key, cls)
 
-    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
-    def test_rejects_bad_powers(self, bad):
-        h = _random_beamspace(np.random.default_rng(28), 4, 2)
-        with pytest.raises(ValueError, match="powers"):
-            sum_rate(h, [0, 1], np.array([1.0, bad]), 1e-3)
+    @legacy({"-0.5": ("sum_rate.powers", "below"), "nan": ("sum_rate.powers", "nan"),
+             "inf": ("sum_rate.powers", "inf")})
+    def test_rejects_bad_powers(self, key, cls):
+        reject(key, cls)
 
-    @pytest.mark.parametrize("powers", [[1 + 1j, 1.0], np.array([1.0, 2.0]) + 0j])
-    def test_rejects_complex_powers(self, powers):
-        h = _random_beamspace(np.random.default_rng(28), 4, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no ComplexWarning on the way
-            with pytest.raises(ValueError, match="powers must be real numbers"):
-                sum_rate(h, [0, 1], powers, 1e-3)
+    @legacy({"powers0": ("sum_rate.powers", "complex"),
+             "powers1": ("sum_rate.powers", "zero imaginary")})
+    def test_rejects_complex_powers(self, key, cls):
+        reject(key, cls)
 
     def test_rejects_power_count_mismatch(self):
-        h = _random_beamspace(np.random.default_rng(29), 4, 2)
-        with pytest.raises(ValueError, match="one entry per user"):
-            sum_rate(h, [0, 1], np.ones(3), 1e-3)
+        reject("sum_rate.powers", "shape")
 
     def test_rejects_overflowing_sinr(self):
         with pytest.raises(ValueError, match="powers and sigma2"):
             sum_rate(np.array([[1e-6 + 0j], [0j]]), [0], [1e27], 1e-303)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_channel(self, bad):
-        h = _random_beamspace(np.random.default_rng(30), 4, 2)
-        h[0, 0] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning on the way
-            with pytest.raises(ValueError, match="^h_beam must be finite"):
-                sum_rate(h, [0, 1], [1.0, 1.0], 1e-3)
+    @legacy({"nan": ("sum_rate.h_beam", "nan"), "inf": ("sum_rate.h_beam", "inf")})
+    def test_rejects_non_finite_channel(self, key, cls):
+        reject(key, cls)
 
 
 class TestSumRate:
@@ -507,13 +485,7 @@ class TestSumRateEvaluator:
         assert q[0] == 0.0  # both users land on unselected beams -> rates 0
 
     def test_noise_domain_error(self):
-        cfg = make_config(n_antennas=4, n_users=2, n_ris=1, m_total=2,
-                          n_selected_beams=2)
-        ch = realize_channels(cfg, derive_stream(11, 1))
-        ev = SumRateEvaluator(ch)
-        with pytest.raises(ValueError, match="noise_variance"):
-            ev.sum_rates(np.zeros((2, 1)), np.array([[0], [1]]),
-                         np.ones((2, 1)), -1.0)
+        reject("sum_rates.noise_variance", "below")
 
 
 def _zero_surface():
@@ -566,94 +538,40 @@ def test_factored_evaluator_matches_evaluate_solution(case):
         assert got[a] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def _bad_batch(name, phases, beam_sets, powers):
-    """Break one input of a valid (N=8, K=3, M=10, N_s=4, A=5) batch."""
-    if name == "phases_1d":
-        phases = phases[:, 0]
-    elif name == "phases_rows":
-        phases = phases[1:]
-    elif name == "phases_nan":
-        phases[3, 2] = np.nan
-    elif name == "beams_float":
-        beam_sets = beam_sets.astype(float)
-    elif name == "beams_columns":
-        beam_sets = beam_sets[:, 1:]
-    elif name == "beams_negative":
-        beam_sets[0, 1] = -7  # would wrap to beam 1
-    elif name == "beams_too_large":
-        beam_sets[-1, 4] = 8
-    elif name == "beams_duplicate":
-        beam_sets[1, 3] = beam_sets[2, 3]
-    elif name == "powers_row":
-        powers = powers[:1]  # (1, A) would broadcast to every user
-    elif name == "powers_column":
-        powers = powers[:, :1]
-    elif name in ("powers_negative", "powers_nan", "powers_inf"):
-        powers[2, 0] = {"powers_negative": -1.0, "powers_nan": np.nan,
-                        "powers_inf": np.inf}[name]
-    elif name == "phases_too_large":
-        phases[4, 1] = -np.nextafter(2.0**20, np.inf)
-    elif name == "phases_complex":
-        phases = phases + 1j * phases
-    elif name == "powers_complex":
-        powers = powers + 0j  # a zero imaginary part is still not real
-    return phases, beam_sets, powers
-
-
-@pytest.mark.parametrize(
-    "name, match",
-    [
-        ("phases_1d", r"phases must be \(M, A\)"),
-        ("phases_rows", r"phases must be \(M, A\)"),
-        ("phases_nan", "phases must be finite"),
-        ("beams_float", "integer"),
-        ("beams_columns", r"\(N_s, A\)"),
-        ("beams_negative", r"lie in \[0, 8\)"),
-        ("beams_too_large", r"lie in \[0, 8\)"),
-        ("beams_duplicate", "unique"),
-        ("powers_row", r"powers must be \(K, A\)"),
-        ("powers_column", r"powers must be \(K, A\)"),
-        ("powers_negative", "finite and >= 0"),
-        ("powers_nan", "finite and >= 0"),
-        ("powers_inf", "finite and >= 0"),
-        ("noise_nan", "noise_variance"),
-        ("noise_zero", "noise_variance"),
-        ("phases_too_large", r"\|phase\| <= 2\^20 rad"),
-        ("phases_complex", "phases must be real numbers"),
-        ("powers_complex", "powers must be real numbers"),
-    ],
-)
-def test_sum_rates_rejects_bad_batches(name, match):
-    cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
-                      n_selected_beams=4)
-    ev = SumRateEvaluator(realize_channels(cfg, derive_stream(15, 1)))
-    rng = derive_stream(16, 1)
-    phases = rng.uniform(0, 2 * np.pi, (10, 5))
-    beam_sets = np.stack([np.sort(rng.choice(8, size=4, replace=False))
-                          for _ in range(5)], axis=1)
-    powers = rng.random((3, 5))
-    ev.sum_rates(phases, beam_sets, powers, cfg.noise_variance)  # valid as built
-    noise = {"noise_nan": np.nan, "noise_zero": 0.0}.get(name, cfg.noise_variance)
-    args = _bad_batch(name, phases, beam_sets, powers)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # e.g. no ComplexWarning before the error
-        with pytest.raises(ValueError, match=match):
-            ev.sum_rates(*args, noise)
+@legacy({
+    r"phases_1d-phases must be \(M, A\)": ("sum_rates.phases", "ndim"),
+    r"phases_rows-phases must be \(M, A\)": ("sum_rates.phases", "rows"),
+    "phases_nan-phases must be finite": ("sum_rates.phases", "nan"),
+    "beams_float-integer": ("sum_rates.beam_sets", "float"),
+    r"beams_columns-\(N_s, A\)": ("sum_rates.beam_sets", "columns"),
+    r"beams_negative-lie in \[0, 8\)": ("sum_rates.beam_sets", "below"),
+    r"beams_too_large-lie in \[0, 8\)": ("sum_rates.beam_sets", "above"),
+    "beams_duplicate-unique": ("sum_rates.beam_sets", "duplicate"),
+    r"powers_row-powers must be \(K, A\)": ("sum_rates.powers", "rows"),
+    r"powers_column-powers must be \(K, A\)": ("sum_rates.powers", "columns"),
+    "powers_negative-finite and >= 0": ("sum_rates.powers", "below"),
+    "powers_nan-finite and >= 0": ("sum_rates.powers", "nan"),
+    "powers_inf-finite and >= 0": ("sum_rates.powers", "inf"),
+    "noise_nan-noise_variance": ("sum_rates.noise_variance", "nan"),
+    "noise_zero-noise_variance": ("sum_rates.noise_variance", "below"),
+    r"phases_too_large-\|phase\| <= 2\^20 rad": ("sum_rates.phases", "too large"),
+    "phases_complex-phases must be real numbers": ("sum_rates.phases", "complex"),
+    "powers_complex-powers must be real numbers": ("sum_rates.powers", "complex"),
+})
+def test_sum_rates_rejects_bad_batches(key, cls):
+    reject(key, cls)
 
 
 def test_sorted_beam_sets_skip_the_sort_only_for_increasing_columns():
     ordered = np.array([[0, 2], [3, 5], [7, 6]])
-    assert _sorted_beam_sets(ordered, 8) is ordered  # checked, not copied
+    assert _sorted_beam_sets("beam_sets", ordered) is ordered  # checked, not copied
     unsorted = np.array([[3, 2], [0, 5], [7, 6]])
-    got = _sorted_beam_sets(unsorted, 8)
+    got = _sorted_beam_sets("beam_sets", unsorted)
     assert np.array_equal(got, np.sort(unsorted, axis=0))
     assert np.array_equal(unsorted, [[3, 2], [0, 5], [7, 6]])  # input kept
     for duplicate in ([[0, 2], [3, 5], [3, 6]], [[3, 2], [0, 5], [3, 6]]):
-        with pytest.raises(ValueError, match="unique"):
-            _sorted_beam_sets(np.array(duplicate), 8)
-    for out_of_range in ([[0, 2], [3, 5], [8, 6]], [[-1, 2], [3, 5], [7, 6]]):
-        with pytest.raises(ValueError, match=r"lie in \[0, 8\)"):
-            _sorted_beam_sets(np.array(out_of_range), 8)
+        with pytest.raises(ValueError, match="^beam_sets must be unique"):
+            _sorted_beam_sets("beam_sets", np.array(duplicate))
 
 
 def test_unit_phasors_match_exp_up_to_the_phase_bound():

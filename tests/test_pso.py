@@ -23,6 +23,7 @@ from beamswarm.pso import (
     update_velocity_and_position,
 )
 from beamswarm.scenario import derive_stream, make_config
+from test_boundary import legacy, reject
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,29 +87,19 @@ class TestPsoConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="ring"):
             PsoConfig(n_particles=2)
-        with pytest.raises(ValueError, match="n_iterations"):
-            PsoConfig(n_iterations=0)
-        with pytest.raises(ValueError, match="inertia"):
-            PsoConfig(inertia=-0.1)
-        with pytest.raises(ValueError, match="learn_local"):
-            PsoConfig(learn_local=-1.0)
-        with pytest.raises(ValueError, match="rng_seed"):
-            PsoConfig(rng_seed=-1)
+        for field in ("n_iterations", "inertia", "learn_local", "rng_seed"):
+            reject(f"PsoConfig.{field}", "below")
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("n_particles", 50.5),
-            ("n_iterations", 10.0),
-            ("rng_seed", 1.5),
-            ("inertia", float("nan")),
-            ("learn_global", float("inf")),
-            ("learn_local", float("nan")),
-        ],
-    )
-    def test_rejects_non_integral_and_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            PsoConfig(**{field: value})
+    @legacy({
+        "n_particles-50.5": ("PsoConfig.n_particles", "float"),
+        "n_iterations-10.0": ("PsoConfig.n_iterations", "float"),
+        "rng_seed-1.5": ("PsoConfig.rng_seed", "float"),
+        "inertia-nan": ("PsoConfig.inertia", "nan"),
+        "learn_global-inf": ("PsoConfig.learn_global", "inf"),
+        "learn_local-nan": ("PsoConfig.learn_local", "nan"),
+    })
+    def test_rejects_non_integral_and_non_finite(self, key, cls):
+        reject(key, cls)
 
 
 class TestProjections:

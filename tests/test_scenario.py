@@ -16,6 +16,7 @@ from beamswarm.scenario import (
     spatial_frequency,
     watts_to_dbm,
 )
+from test_boundary import legacy, reject
 
 
 def test_dbm_conversions():
@@ -71,8 +72,7 @@ class TestScenarioConfig:
         make_config(n_users=8, n_selected_beams=8)  # boundary is legal
 
     def test_uc_list_validation(self):
-        with pytest.raises(ValueError, match="uc_per_ris"):
-            make_config(uc_per_ris=(16,) * 7 + (0,))
+        reject("ScenarioConfig.uc_per_ris", "below")
 
     def test_surface_count_is_the_layout_length(self):
         assert ScenarioConfig(uc_per_ris=(32,) * 4).n_ris == 4
@@ -81,11 +81,7 @@ class TestScenarioConfig:
             ScenarioConfig(n_ris=4)  # derived, not settable
 
     def test_empty_layout_rejected(self):
-        match = r"^len\(uc_per_ris\) must be >= 1 \(got 0\)$"
-        with pytest.raises(ValueError, match=match):
-            ScenarioConfig(uc_per_ris=())
-        with pytest.raises(ValueError, match=match):
-            make_config(uc_per_ris=())
+        reject("ScenarioConfig.uc_per_ris", "empty")
 
     def test_surface_count_must_match_layout(self):
         with pytest.raises(
@@ -105,39 +101,29 @@ class TestScenarioConfig:
         make_config(ue_ring_min_m=30.0, ue_ring_max_m=30.0)  # degenerate ring
 
     def test_positivity_checks(self):
-        with pytest.raises(ValueError, match="total_power"):
-            ScenarioConfig(total_power=0.0)
-        with pytest.raises(ValueError, match="noise_variance"):
-            ScenarioConfig(noise_variance=-1e-14)
-        with pytest.raises(ValueError, match="n_nlos_paths"):
-            make_config(n_nlos_paths=-1)
-        with pytest.raises(ValueError, match="rng_seed"):
-            make_config(rng_seed=-1)
+        for row in ("total_power", "noise_variance", "n_nlos_paths", "rng_seed"):
+            reject(f"ScenarioConfig.{row}", "below")
 
-    @pytest.mark.parametrize(
-        "kwargs, field",
-        [
-            ({"power_dbm": float("nan")}, "power_dbm"),
-            ({"noise_dbm": float("inf")}, "noise_dbm"),
-            ({"carrier_freq_ghz": float("nan")}, "carrier_freq_ghz"),
-            ({"cell_radius_m": float("inf")}, "cell_radius_m"),
-            ({"n_antennas": 64.5}, "n_antennas"),
-            ({"n_users": 4.0}, "n_users"),
-            ({"n_selected_beams": 8.5}, "n_selected_beams"),
-            ({"n_nlos_paths": 1.5}, "n_nlos_paths"),
-            ({"rng_seed": 0.5}, "rng_seed"),
-            ({"n_ris": 2, "uc_per_ris": (16, 8.5)}, r"uc_per_ris\[1\]"),
-            ({"power_dbm": 4000.0}, "power_dbm"),
-            ({"noise_dbm": 3200}, "noise_dbm"),
-            ({"power_dbm": np.float64(4000.0)}, "power_dbm"),
-            ({"noise_dbm": -4000.0}, "noise_dbm"),
-            ({"power_dbm": -4000}, "power_dbm"),
-            ({"noise_dbm": np.float64(-4000.0)}, "noise_dbm"),
-        ],
-    )
-    def test_rejects_non_integral_and_non_finite(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
-            make_config(**kwargs)
+    @legacy({
+        "kwargs0-power_dbm": ("make_config.power_dbm", "nan"),
+        "kwargs1-noise_dbm": ("make_config.noise_dbm", "inf"),
+        "kwargs2-carrier_freq_ghz": ("make_config.carrier_freq_ghz", "nan"),
+        "kwargs3-cell_radius_m": ("ScenarioConfig.cell_radius_m", "inf"),
+        "kwargs4-n_antennas": ("ScenarioConfig.n_antennas", "float"),
+        "kwargs5-n_users": ("ScenarioConfig.n_users", "float"),
+        "kwargs6-n_selected_beams": ("ScenarioConfig.n_selected_beams", "float"),
+        "kwargs7-n_nlos_paths": ("ScenarioConfig.n_nlos_paths", "float"),
+        "kwargs8-rng_seed": ("ScenarioConfig.rng_seed", "float"),
+        r"kwargs9-uc_per_ris\[1\]": ("ScenarioConfig.uc_per_ris", "float"),
+        "kwargs10-power_dbm": ("make_config.power_dbm", "too large"),
+        "kwargs11-noise_dbm": ("make_config.noise_dbm", "too large"),
+        "kwargs12-power_dbm": ("make_config.power_dbm", "numpy too large"),
+        "kwargs13-noise_dbm": ("make_config.noise_dbm", "too small"),
+        "kwargs14-power_dbm": ("make_config.power_dbm", "too small"),
+        "kwargs15-noise_dbm": ("make_config.noise_dbm", "numpy too small"),
+    })
+    def test_rejects_non_integral_and_non_finite(self, key, cls):
+        reject(key, cls)
 
 
 class TestPlaceNodes:
@@ -286,7 +272,6 @@ class TestAngles:
         assert angles.bs_departure.shape == (8, 3)
         assert angles.ris_arrival.shape == (8, 3)
         assert angles.ris_departure.shape == (8, 8, 3)
-        assert angles.ue_arrival.shape == (8, 8, 3)
 
     def test_los_only_single_angle(self):
         cfg = make_config(n_nlos_paths=0)
@@ -305,7 +290,19 @@ class TestAngles:
         one = draw_angles(cfg, np.random.default_rng(5))
         assert np.all(np.abs(one.ris_departure) < np.pi / 2)
         assert np.all(np.abs(one.bs_departure) < np.pi)
-        assert np.all(np.abs(one.ue_arrival) < np.pi)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937,
+                                      np.random.Philox, np.random.SFC64])
+    def test_stream_moves_as_when_user_arrivals_were_drawn(self, bits):
+        # the draws of an earlier version, which also drew a (J, K, N_p+1)
+        # block of user arrival angles on U(-pi, pi) last
+        cfg = make_config(n_users=3, n_selected_beams=8, n_ris=2, m_total=8)
+        rng, twin = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+        draw_angles(cfg, rng)
+        for shape, bound in (((2, 3), np.pi), ((2, 3), np.pi / 2),
+                             ((2, 3, 3), np.pi / 2), ((2, 3, 3), np.pi)):
+            twin.uniform(-bound, bound, shape)
+        assert np.array_equal(rng.random(10), twin.random(10))
 
     def test_determinism(self):
         cfg = make_config()
