@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import scenario
-from .linkrate import _Axis, _checked_array
+from .linkrate import _checked_array
 
 
 def steering(theta, n_elements):
@@ -99,7 +99,7 @@ class ChannelSet:
     dft_matrix: np.ndarray
 
     def __post_init__(self):
-        n = np.shape(self.dft_matrix)[:1] or (_Axis("N"),)  # its rows fix N
+        n = np.shape(self.dft_matrix)[:1] or ("N",)  # its rows fix N
         u = _checked_array("dft_matrix", self.dft_matrix, n * 2, "numbers")
         scenario._require_int("len(bs_ris)", len(self.bs_ris), 1)
         if len(self.ris_ue) != len(self.bs_ris):
@@ -107,9 +107,9 @@ class ChannelSet:
                              f"surface of bs_ris (got {len(self.ris_ue)})")
         # a NaN or inf entry would make _low_rank drop or poison its surface;
         # the users of surface 0 fix K for the others
-        bs_ris, ris_ue, k = [], [], _Axis("K")
+        bs_ris, ris_ue, k = [], [], "K"
         for j, (c, g) in enumerate(zip(self.bs_ris, self.ris_ue)):
-            c = _checked_array(f"bs_ris[{j}]", c, (*n, _Axis(f"M_{j}")), "numbers")
+            c = _checked_array(f"bs_ris[{j}]", c, (*n, f"M_{j}"), "numbers")
             g = _checked_array(f"ris_ue[{j}]", g, (c.shape[1], k), "numbers")
             bs_ris.append(c)
             ris_ue.append(g)

@@ -8,6 +8,7 @@ which is the continuous limit of the matched-filter expression at 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
@@ -78,45 +79,46 @@ class RateReport:
     sum_rate: float
 
 
-class _Axis(str):
-    """A shape label, such as ``A``, for an axis of any length: it equals
-    every int, so one tuple comparison checks a shape."""
-
-    __repr__ = str.__str__  # a shape prints as (10, A)
-
-    def __eq__(self, other):
-        return True
+_DTYPE_KINDS = {"real numbers": "biuf", "integers": "iu", "numbers": "biufc"}
 
 
-_A, _N_S = _Axis("A"), _Axis("N_s")
-# what each dtype family of _checked_array admits, by numpy dtype kind
-_KINDS = {"real numbers": "biuf", "integers": "iu", "numbers": "biufc"}
+@functools.lru_cache(maxsize=64)  # the per-iteration checks meet few shapes
+def _fits(got, shape):
+    """Whether shape ``got`` matches ``shape``, whose str entries match any length."""
+    return len(got) == len(shape) and all(
+        type(want) is str or want == have for want, have in zip(shape, got))
 
 
 def _checked_array(name, values, shape, family="real numbers",
                    low=-_FLOAT_MAX, high=_FLOAT_MAX):
-    """``values`` as an array of ``shape`` (ints and :class:`_Axis` labels)
-    and dtype ``family`` with finite entries in [low, high], real numbers as
-    floats; otherwise a ValueError that names the argument. A real array
-    takes one ``min`` and one ``max`` pass, a complex one ``isfinite``."""
+    """``values`` as an array of ``shape`` (see :func:`_fits`) and of a dtype
+    of ``family`` (see ``_DTYPE_KINDS``), or a ValueError naming the
+    argument. Real entries must be finite and in [low, high] and come back
+    as floats (one ``min`` and one ``max`` pass), integer ones in [0, high]
+    (one ``max``) and complex ones finite (one ``isfinite``)."""
     values = np.asarray(values)
     kind = values.dtype.kind
-    if kind not in _KINDS[family]:
+    if kind not in _DTYPE_KINDS[family]:
         raise ValueError(f"{name} must hold {family} (got dtype {values.dtype})")
-    if values.shape != shape:
-        raise ValueError(f"{name} must have shape {shape} (got {values.shape})")
+    if not _fits(values.shape, shape):
+        labels = str(shape).replace("'", "")  # (128, A), not (128, 'A')
+        raise ValueError(f"{name} must have shape {labels} (got {values.shape})")
     if kind == "c":
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite (it holds NaN or inf)")
         return values
-    if family == "real numbers":
-        values = values.astype(float, copy=False)
-    lo, hi = values.min(initial=0), values.max(initial=0)
+    if family == "integers":  # a negative index wraps past any high as unsigned
+        values = values.astype(np.intp, copy=False)
+        if values.view(np.uintp).max(initial=0) > high:
+            raise ValueError(f"{name} must lie in [0, {high}] (got entries "
+                             f"from {values.min()} to {values.max()})")
+        return values
+    values = values.astype(float, copy=False)
     # NaN fails both comparisons, and inf fails the default finite bounds
-    if not (low <= lo and hi <= high):
+    if not (low <= values.min(initial=0) and values.max(initial=0) <= high):
         raise ValueError(
             f"{name} must be finite and lie in [{low}, {high}] "
-            f"(got entries from {lo} to {hi})"
+            f"(got entries from {values.min()} to {values.max()})"
         )
     return values
 
@@ -130,7 +132,7 @@ def validate_beam_set(selected, n_antennas):
     sel = np.array(selected)  # a copy: the result never aliases the caller's array
     if not sel.size:  # before the dtype check: an empty list makes floats
         raise ValueError("selected must hold at least one beam index")
-    sel = _checked_array("selected", sel, (_N_S,), "integers", 0, n_antennas - 1)
+    sel = _checked_array("selected", sel, ("N_s",), "integers", high=n_antennas - 1)
     return _sorted_beam_sets("selected", sel[:, None])[:, 0]
 
 
@@ -192,7 +194,7 @@ def sum_rate(h_beam, selected, powers, sigma2):
     Raises ValueError when an SINR overflows at these powers and ``sigma2``.
     """
     _require_real("sigma2", sigma2, 0.0, strict=True)
-    h_beam = _checked_array("h_beam", h_beam, (_Axis("N"), _Axis("K")), "numbers")
+    h_beam = _checked_array("h_beam", h_beam, ("N", "K"), "numbers")
     n, k = h_beam.shape
     powers = _checked_array("powers", powers, (k,), low=0.0)
     idx = validate_beam_set(selected, n)
@@ -339,13 +341,13 @@ class SumRateEvaluator:
         not change them.
         """
         _require_real("noise_variance", noise_variance, 0.0, strict=True)
-        phases = _checked_array("phases", phases, (self.total_uc, _A),
+        phases = _checked_array("phases", phases, (self.total_uc, "A"),
                                 low=-_PHASE_BOUND, high=_PHASE_BOUND)
         a = phases.shape[1]
         beam_sets = _sorted_beam_sets("beam_sets", _checked_array(
-            "beam_sets", beam_sets, (_N_S, a), "integers", 0, self.n_antennas - 1))
+            "beam_sets", beam_sets, ("N_s", a), "integers", high=self.n_antennas - 1))
         powers = _checked_array("powers", powers, (self.n_users, a), low=0.0)
         h_sel = self.beamspace_channels(phases, beam_sets)  # (A, K, N_s)
         work = self._buffers(a, beam_sets.shape[0])[4]
         sinrs = _mrt_sinrs(h_sel, powers.T, noise_variance, work)
-        return np.log1p(sinrs, out=sinrs).sum(axis=1) / _LN2
+        return np.log1p(sinrs).sum(axis=1) / _LN2

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 import operator
-import sys
 
 import numpy as np
 
-_FLOAT_MAX = sys.float_info.max
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def dbm_to_watts(x_dbm):

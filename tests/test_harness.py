@@ -19,7 +19,7 @@ from beamswarm.harness import (
 )
 from beamswarm.pso import PsoConfig
 from beamswarm.scenario import derive_seed, make_config
-from test_boundary import INTEGER_ROWS, TABLE, legacy, reject
+from test_boundary import earlier
 
 
 def _blas_threads(_):
@@ -56,11 +56,9 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="sweep_param must be one of"):
             _spec(sweep_param="carrier_freq_ghz")
 
-    def test_rejects_empty_values(self):
-        reject("ExperimentSpec.sweep_values", "empty")
-
-    def test_rejects_bad_trial_count(self):
-        reject("ExperimentSpec.n_trials", "below")
+    # bad settings are cells of tests/test_boundary.py's table
+    test_rejects_empty_values = earlier("TestExperimentSpec.test_rejects_empty_values")
+    test_rejects_bad_trial_count = earlier("TestExperimentSpec.test_rejects_bad_trial_count")
 
     def test_rejects_infeasible_derived_config(self):
         # n_users=16 would exceed the base n_selected_beams=4
@@ -71,18 +69,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="infeasible sweep value m_total=1"):
             _spec(sweep_param="m_total", sweep_values=(1,))
 
-    def test_rejects_nonpositive_value(self):
-        reject("ExperimentSpec.sweep_values", "below")
-
-    @legacy({
-        "overrides0-n_trials": ("ExperimentSpec.n_trials", "float"),
-        "overrides1-n_trials": ("ExperimentSpec.n_trials", "float"),
-        r"overrides2-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "float"),
-        r"overrides3-sweep_values\[1\]": ("ExperimentSpec.sweep_values", "float"),
-        r"overrides4-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "str"),
-    })
-    def test_rejects_non_integral_counts(self, key, cls):
-        reject(key, cls)
+    test_rejects_nonpositive_value = earlier(
+        "TestExperimentSpec.test_rejects_nonpositive_value")
+    test_rejects_non_integral_counts = earlier(
+        "TestExperimentSpec.test_rejects_non_integral_counts")
 
     def test_values_are_tuplized(self):
         spec = _spec(sweep_values=[2, 4])
@@ -219,48 +209,14 @@ class TestRunSweep:
         assert result.rates.shape == (2, 1)
         assert np.all(result.stderrs == 0.0)
 
-    def test_rejects_bad_job_count(self):
-        reject("run_sweep.jobs", "below")
-        reject("run_sweep.jobs", "float")
+    test_rejects_bad_job_count = earlier("TestRunSweep.test_rejects_bad_job_count")
 
 
 # the cases of these three tests are cells of tests/test_boundary.py's table
-@legacy({**{key: (key, "bool") for key in INTEGER_ROWS},
-         "ScenarioConfig.n_ris": ("make_config.n_ris", "bool"),
-         "jobs": ("run_sweep.jobs", "bool")})
-def test_booleans_are_not_sizes(key, cls):
-    reject(key, cls)
-
-
-@legacy({**{key: (key, "below") for key in INTEGER_ROWS if "below" in TABLE[key]},
-         "make_config.n_ris_with_uc_per_ris": ("make_config(uc_per_ris=(16,)).n_ris",
-                                               "below"),
-         "jobs": ("run_sweep.jobs", "below")})
-def test_integer_bounds_name_the_field(key, cls):
-    reject(key, cls)
-
-
-@legacy({
-    "trial_index_float": ("run_trial.trial_index", "float"),
-    "trial_index_negative": ("run_trial.trial_index", "below"),
-    "trial_index_str": ("run_trial.trial_index", "str"),
-    "derive_stream_float": ("derive_stream.seed", "float"),
-    "derive_seed_float_key": ("derive_seed.key", "float"),
-    "derive_seed_bool_seed": ("derive_seed.seed", "bool"),
-    "derive_stream_bool_key": ("derive_stream.key", "bool"),
-    "derive_stream_negative_key": ("derive_stream.key", "below"),
-    "derive_stream_negative_seed": ("derive_stream.seed", "below"),
-    "derive_seed_negative_seed": ("derive_seed.seed", "below"),
-    "derive_seed_negative_key": ("derive_seed.key", "below"),
-    "m_total_float": ("make_config.m_total", "float"),
-    "m_total_nan": ("make_config.m_total", "nan"),
-    "m_total_str": ("make_config.m_total", "str"),
-    "n_ris_float": ("make_config.n_ris", "float"),
-    "dft_matrix_float": ("dft_matrix.n", "float"),
-    "steering_float": ("steering.n_elements", "float"),
-})
-def test_non_integral_indices_are_rejected_not_truncated(key, cls):
-    reject(key, cls)
+test_booleans_are_not_sizes = earlier("test_booleans_are_not_sizes")
+test_integer_bounds_name_the_field = earlier("test_integer_bounds_name_the_field")
+test_non_integral_indices_are_rejected_not_truncated = earlier(
+    "test_non_integral_indices_are_rejected_not_truncated")
 
 
 def _toy_result():

@@ -18,7 +18,7 @@ from beamswarm.linkrate import (
 )
 from beamswarm.pso import Solution
 from beamswarm.scenario import derive_stream, make_config
-from test_boundary import legacy, reject
+from test_boundary import earlier
 
 
 # Independent oracle: explicit per-user matched-filter precoders, one
@@ -83,8 +83,6 @@ def test_validate_beam_set():
     assert list(validate_beam_set([3, 1], 4)) == [1, 3]
     ordered = np.array([1, 3])
     assert not np.shares_memory(validate_beam_set(ordered, 4), ordered)
-    for cls in ("duplicate", "above", "below", "float", "empty"):
-        reject("sum_rate.selected", cls)  # sum_rate checks its beams here
 
 
 def _random_beamspace(rng, n=8, k=3):
@@ -119,8 +117,7 @@ class TestSinr:
             expected = p[k] * np.linalg.norm(h[:, k]) ** 2 / 1e-2
             assert _sinr(k, h, mask, p, 1e-2) == pytest.approx(expected, rel=1e-12)
 
-    def test_noise_domain_error(self):
-        reject("sum_rate.sigma2", "below")
+    test_noise_domain_error = earlier("TestSinr.test_noise_domain_error")
 
 
 def _oracle_instance(rng, i):
@@ -236,32 +233,16 @@ class TestInvariants:
 
 class TestBoundary:
     # bad inputs are cells of tests/test_boundary.py's table
-    @legacy({"selected0-unique": ("sum_rate.selected", "duplicate"),
-             "selected1-lie in": ("sum_rate.selected", "below"),
-             "selected2-lie in": ("sum_rate.selected", "above")})
-    def test_rejects_bad_beam_sets(self, key, cls):
-        reject(key, cls)
-
-    @legacy({"-0.5": ("sum_rate.powers", "below"), "nan": ("sum_rate.powers", "nan"),
-             "inf": ("sum_rate.powers", "inf")})
-    def test_rejects_bad_powers(self, key, cls):
-        reject(key, cls)
-
-    @legacy({"powers0": ("sum_rate.powers", "complex"),
-             "powers1": ("sum_rate.powers", "zero imaginary")})
-    def test_rejects_complex_powers(self, key, cls):
-        reject(key, cls)
-
-    def test_rejects_power_count_mismatch(self):
-        reject("sum_rate.powers", "shape")
+    test_rejects_bad_beam_sets = earlier("TestBoundary.test_rejects_bad_beam_sets")
+    test_rejects_bad_powers = earlier("TestBoundary.test_rejects_bad_powers")
+    test_rejects_complex_powers = earlier("TestBoundary.test_rejects_complex_powers")
+    test_rejects_power_count_mismatch = earlier(
+        "TestBoundary.test_rejects_power_count_mismatch")
+    test_rejects_non_finite_channel = earlier("TestBoundary.test_rejects_non_finite_channel")
 
     def test_rejects_overflowing_sinr(self):
         with pytest.raises(ValueError, match="powers and sigma2"):
             sum_rate(np.array([[1e-6 + 0j], [0j]]), [0], [1e27], 1e-303)
-
-    @legacy({"nan": ("sum_rate.h_beam", "nan"), "inf": ("sum_rate.h_beam", "inf")})
-    def test_rejects_non_finite_channel(self, key, cls):
-        reject(key, cls)
 
 
 class TestSumRate:
@@ -484,8 +465,7 @@ class TestSumRateEvaluator:
         )
         assert q[0] == 0.0  # both users land on unselected beams -> rates 0
 
-    def test_noise_domain_error(self):
-        reject("sum_rates.noise_variance", "below")
+    test_noise_domain_error = earlier("TestSumRateEvaluator.test_noise_domain_error")
 
 
 def _zero_surface():
@@ -538,28 +518,8 @@ def test_factored_evaluator_matches_evaluate_solution(case):
         assert got[a] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@legacy({
-    r"phases_1d-phases must be \(M, A\)": ("sum_rates.phases", "ndim"),
-    r"phases_rows-phases must be \(M, A\)": ("sum_rates.phases", "rows"),
-    "phases_nan-phases must be finite": ("sum_rates.phases", "nan"),
-    "beams_float-integer": ("sum_rates.beam_sets", "float"),
-    r"beams_columns-\(N_s, A\)": ("sum_rates.beam_sets", "columns"),
-    r"beams_negative-lie in \[0, 8\)": ("sum_rates.beam_sets", "below"),
-    r"beams_too_large-lie in \[0, 8\)": ("sum_rates.beam_sets", "above"),
-    "beams_duplicate-unique": ("sum_rates.beam_sets", "duplicate"),
-    r"powers_row-powers must be \(K, A\)": ("sum_rates.powers", "rows"),
-    r"powers_column-powers must be \(K, A\)": ("sum_rates.powers", "columns"),
-    "powers_negative-finite and >= 0": ("sum_rates.powers", "below"),
-    "powers_nan-finite and >= 0": ("sum_rates.powers", "nan"),
-    "powers_inf-finite and >= 0": ("sum_rates.powers", "inf"),
-    "noise_nan-noise_variance": ("sum_rates.noise_variance", "nan"),
-    "noise_zero-noise_variance": ("sum_rates.noise_variance", "below"),
-    r"phases_too_large-\|phase\| <= 2\^20 rad": ("sum_rates.phases", "too large"),
-    "phases_complex-phases must be real numbers": ("sum_rates.phases", "complex"),
-    "powers_complex-powers must be real numbers": ("sum_rates.powers", "complex"),
-})
-def test_sum_rates_rejects_bad_batches(key, cls):
-    reject(key, cls)
+# its cases are cells of tests/test_boundary.py's table
+test_sum_rates_rejects_bad_batches = earlier("test_sum_rates_rejects_bad_batches")
 
 
 def test_sorted_beam_sets_skip_the_sort_only_for_increasing_columns():

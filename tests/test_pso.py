@@ -23,7 +23,7 @@ from beamswarm.pso import (
     update_velocity_and_position,
 )
 from beamswarm.scenario import derive_stream, make_config
-from test_boundary import legacy, reject
+from test_boundary import earlier
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,19 +87,10 @@ class TestPsoConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="ring"):
             PsoConfig(n_particles=2)
-        for field in ("n_iterations", "inertia", "learn_local", "rng_seed"):
-            reject(f"PsoConfig.{field}", "below")
 
-    @legacy({
-        "n_particles-50.5": ("PsoConfig.n_particles", "float"),
-        "n_iterations-10.0": ("PsoConfig.n_iterations", "float"),
-        "rng_seed-1.5": ("PsoConfig.rng_seed", "float"),
-        "inertia-nan": ("PsoConfig.inertia", "nan"),
-        "learn_global-inf": ("PsoConfig.learn_global", "inf"),
-        "learn_local-nan": ("PsoConfig.learn_local", "nan"),
-    })
-    def test_rejects_non_integral_and_non_finite(self, key, cls):
-        reject(key, cls)
+    # bad settings are cells of tests/test_boundary.py's table
+    test_rejects_non_integral_and_non_finite = earlier(
+        "TestPsoConfig.test_rejects_non_integral_and_non_finite")
 
 
 class TestProjections:

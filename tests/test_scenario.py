@@ -16,7 +16,7 @@ from beamswarm.scenario import (
     spatial_frequency,
     watts_to_dbm,
 )
-from test_boundary import legacy, reject
+from test_boundary import earlier
 
 
 def test_dbm_conversions():
@@ -71,8 +71,8 @@ class TestScenarioConfig:
             make_config(n_selected_beams=65)
         make_config(n_users=8, n_selected_beams=8)  # boundary is legal
 
-    def test_uc_list_validation(self):
-        reject("ScenarioConfig.uc_per_ris", "below")
+    # bad settings are cells of tests/test_boundary.py's table
+    test_uc_list_validation = earlier("TestScenarioConfig.test_uc_list_validation")
 
     def test_surface_count_is_the_layout_length(self):
         assert ScenarioConfig(uc_per_ris=(32,) * 4).n_ris == 4
@@ -80,8 +80,7 @@ class TestScenarioConfig:
         with pytest.raises(TypeError, match="n_ris"):
             ScenarioConfig(n_ris=4)  # derived, not settable
 
-    def test_empty_layout_rejected(self):
-        reject("ScenarioConfig.uc_per_ris", "empty")
+    test_empty_layout_rejected = earlier("TestScenarioConfig.test_empty_layout_rejected")
 
     def test_surface_count_must_match_layout(self):
         with pytest.raises(
@@ -100,30 +99,9 @@ class TestScenarioConfig:
             make_config(ue_ring_max_m=45.0)  # outside the cell
         make_config(ue_ring_min_m=30.0, ue_ring_max_m=30.0)  # degenerate ring
 
-    def test_positivity_checks(self):
-        for row in ("total_power", "noise_variance", "n_nlos_paths", "rng_seed"):
-            reject(f"ScenarioConfig.{row}", "below")
-
-    @legacy({
-        "kwargs0-power_dbm": ("make_config.power_dbm", "nan"),
-        "kwargs1-noise_dbm": ("make_config.noise_dbm", "inf"),
-        "kwargs2-carrier_freq_ghz": ("make_config.carrier_freq_ghz", "nan"),
-        "kwargs3-cell_radius_m": ("ScenarioConfig.cell_radius_m", "inf"),
-        "kwargs4-n_antennas": ("ScenarioConfig.n_antennas", "float"),
-        "kwargs5-n_users": ("ScenarioConfig.n_users", "float"),
-        "kwargs6-n_selected_beams": ("ScenarioConfig.n_selected_beams", "float"),
-        "kwargs7-n_nlos_paths": ("ScenarioConfig.n_nlos_paths", "float"),
-        "kwargs8-rng_seed": ("ScenarioConfig.rng_seed", "float"),
-        r"kwargs9-uc_per_ris\[1\]": ("ScenarioConfig.uc_per_ris", "float"),
-        "kwargs10-power_dbm": ("make_config.power_dbm", "too large"),
-        "kwargs11-noise_dbm": ("make_config.noise_dbm", "too large"),
-        "kwargs12-power_dbm": ("make_config.power_dbm", "numpy too large"),
-        "kwargs13-noise_dbm": ("make_config.noise_dbm", "too small"),
-        "kwargs14-power_dbm": ("make_config.power_dbm", "too small"),
-        "kwargs15-noise_dbm": ("make_config.noise_dbm", "numpy too small"),
-    })
-    def test_rejects_non_integral_and_non_finite(self, key, cls):
-        reject(key, cls)
+    test_positivity_checks = earlier("TestScenarioConfig.test_positivity_checks")
+    test_rejects_non_integral_and_non_finite = earlier(
+        "TestScenarioConfig.test_rejects_non_integral_and_non_finite")
 
 
 class TestPlaceNodes:
