@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import scenario
-from .linkrate import _checked_array
+from .scenario import _checked_array
 
 
 def steering(theta, n_elements):
@@ -171,6 +171,7 @@ def realize_channels(config, rng):
     user links surface by surface), and assembles the per-surface matrices.
     Draw order is fixed, so one seed reproduces the realization bit for bit.
     """
+    scenario._require_rng(rng)
     layout = scenario.place_nodes(config, rng)
     angles = scenario.draw_angles(config, rng)
     f_c, n_p = config.carrier_freq_ghz, config.n_nlos_paths

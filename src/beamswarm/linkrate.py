@@ -8,13 +8,13 @@ which is the continuous limit of the matched-filter expression at 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import itertools
 import math
 
 import numpy as np
 
-from .scenario import _FLOAT_MAX, _require_real
+from .channel import cascaded_spatial, to_beamspace
+from .scenario import _checked_array, _require_real
 
 _LN2 = np.log(2.0)
 
@@ -79,69 +79,26 @@ class RateReport:
     sum_rate: float
 
 
-_DTYPE_KINDS = {"real numbers": "biuf", "integers": "iu", "numbers": "biufc"}
-
-
-@functools.lru_cache(maxsize=64)  # the per-iteration checks meet few shapes
-def _fits(got, shape):
-    """Whether shape ``got`` matches ``shape``, whose str entries match any length."""
-    return len(got) == len(shape) and all(
-        type(want) is str or want == have for want, have in zip(shape, got))
-
-
-def _checked_array(name, values, shape, family="real numbers",
-                   low=-_FLOAT_MAX, high=_FLOAT_MAX):
-    """``values`` as an array of ``shape`` (see :func:`_fits`) and of a dtype
-    of ``family`` (see ``_DTYPE_KINDS``), or a ValueError naming the
-    argument. Real entries must be finite and in [low, high] and come back
-    as floats (one ``min`` and one ``max`` pass), integer ones in [0, high]
-    (one ``max``) and complex ones finite (one ``isfinite``)."""
-    values = np.asarray(values)
-    kind = values.dtype.kind
-    if kind not in _DTYPE_KINDS[family]:
-        raise ValueError(f"{name} must hold {family} (got dtype {values.dtype})")
-    if not _fits(values.shape, shape):
-        labels = str(shape).replace("'", "")  # (128, A), not (128, 'A')
-        raise ValueError(f"{name} must have shape {labels} (got {values.shape})")
-    if kind == "c":
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite (it holds NaN or inf)")
-        return values
-    if family == "integers":  # a negative index wraps past any high as unsigned
-        values = values.astype(np.intp, copy=False)
-        if values.view(np.uintp).max(initial=0) > high:
-            raise ValueError(f"{name} must lie in [0, {high}] (got entries "
-                             f"from {values.min()} to {values.max()})")
-        return values
-    values = values.astype(float, copy=False)
-    # NaN fails both comparisons, and inf fails the default finite bounds
-    if not (low <= values.min(initial=0) and values.max(initial=0) <= high):
-        raise ValueError(
-            f"{name} must be finite and lie in [{low}, {high}] "
-            f"(got entries from {values.min()} to {values.max()})"
-        )
-    return values
-
-
 def validate_beam_set(selected, n_antennas):
     """Check a beam index set and return it as a sorted int array.
 
     At least one index; indices must be integers, unique, and lie in
     [0, n_antennas); a negative index is rejected rather than wrapped.
     """
-    sel = np.array(selected)  # a copy: the result never aliases the caller's array
-    if not sel.size:  # before the dtype check: an empty list makes floats
-        raise ValueError("selected must hold at least one beam index")
+    # a copy, so the result never aliases the caller's array; [] would make floats
+    sel = np.array(selected) if np.size(selected) else np.empty(0, np.intp)
     sel = _checked_array("selected", sel, ("N_s",), "integers", high=n_antennas - 1)
     return _sorted_beam_sets("selected", sel[:, None])[:, 0]
 
 
 def _sorted_beam_sets(name, beam_sets):
     """Sort checked (N_s, A) beam sets, one per column, down axis 0, and
-    reject a set that repeats an index.
+    reject empty sets (N_s = 0) and a set that repeats an index.
 
     Sets that are sorted already come back as they are, not copied.
     """
+    if not len(beam_sets):
+        raise ValueError(f"{name} must hold at least one beam index")
     # strictly increasing columns are sorted and unique as they are
     if (beam_sets[1:] > beam_sets[:-1]).all():
         return beam_sets
@@ -220,8 +177,6 @@ def evaluate_solution(channels, sol, noise_variance):
     maps it onto the beams, and scores it with the solution's beam set and
     power split.
     """
-    from .channel import cascaded_spatial, to_beamspace
-
     h_bar = cascaded_spatial(channels, sol.phases)
     h_beam = to_beamspace(h_bar, channels.dft_matrix)
     return sum_rate(h_beam, sol.beam_set, sol.powers, noise_variance).sum_rate
@@ -335,10 +290,10 @@ class SumRateEvaluator:
         """Sum rates for a batch of candidates, one column per candidate.
 
         ``phases`` is (M, A) finite radians with |phase| <= 2^20,
-        ``beam_sets`` (N_s, A) integer beam indices, unique per column and
-        in [0, N), ``powers`` (K, A) finite watts >= 0. Returns a length-A
-        vector of sum rates; the order of the beams within a column does
-        not change them.
+        ``beam_sets`` (N_s, A) integer beam indices, N_s >= 1, unique per
+        column and in [0, N), ``powers`` (K, A) finite watts >= 0. Returns a
+        length-A vector of sum rates; the order of the beams within a column
+        does not change them.
         """
         _require_real("noise_variance", noise_variance, 0.0, strict=True)
         phases = _checked_array("phases", phases, (self.total_uc, "A"),

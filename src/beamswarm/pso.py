@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .linkrate import SumRateEvaluator
-from .scenario import _require_int, _require_real
+from .scenario import _require_int, _require_real, _require_rng
 
 _TWO_PI = 2.0 * np.pi
 
@@ -269,6 +269,7 @@ def optimize(channels, scenario, cfg, rng, callback=None):
     when a move overflows because the update coefficients make the swarm
     diverge.
     """
+    _require_rng(rng)
     mine = (scenario.n_antennas, scenario.n_users, scenario.total_uc)
     theirs = (channels.n_antennas, channels.n_users, channels.total_uc)
     if mine != theirs:

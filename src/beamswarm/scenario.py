@@ -8,7 +8,8 @@ scenario realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import functools
 import math
 import operator
 
@@ -70,6 +71,56 @@ def _require_ints(name, values):
     for i, value in enumerate(values):
         _require_int(f"{name}[{i}]", value, 1)
     return values
+
+
+_DTYPE_KINDS = {"real numbers": "biuf", "integers": "iu", "numbers": "biufc"}
+
+
+@functools.lru_cache(maxsize=64)  # the per-iteration checks meet few shapes
+def _fits(got, shape):
+    """Whether shape ``got`` matches ``shape``, whose str entries match any length."""
+    return len(got) == len(shape) and all(
+        type(want) is str or want == have for want, have in zip(shape, got))
+
+
+def _checked_array(name, values, shape, family="real numbers",
+                   low=-_FLOAT_MAX, high=_FLOAT_MAX):
+    """``values`` as an array of ``shape`` (see :func:`_fits`) and of a dtype
+    of ``family`` (see ``_DTYPE_KINDS``), or a ValueError naming the
+    argument. Real entries must be finite and in [low, high] and come back
+    as floats (one ``min`` and one ``max`` pass), integer ones in [0, high]
+    (one ``max``) and complex ones finite (one ``isfinite``)."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in _DTYPE_KINDS[family]:
+        raise ValueError(f"{name} must hold {family} (got dtype {values.dtype})")
+    if not _fits(values.shape, shape):
+        labels = str(shape).replace("'", "")  # (128, A), not (128, 'A')
+        raise ValueError(f"{name} must have shape {labels} (got {values.shape})")
+    if kind == "c":
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite (it holds NaN or inf)")
+        return values
+    if family == "integers":  # a negative index wraps past any high as unsigned
+        values = values.astype(np.intp, copy=False)
+        if values.view(np.uintp).max(initial=0) > high:
+            raise ValueError(f"{name} must lie in [0, {high}] (got entries "
+                             f"from {values.min()} to {values.max()})")
+        return values
+    values = values.astype(float, copy=False)
+    # NaN fails both comparisons, and inf fails the default finite bounds
+    if not (low <= values.min(initial=0) and values.max(initial=0) <= high):
+        raise ValueError(
+            f"{name} must be finite and lie in [{low}, {high}] "
+            f"(got entries from {values.min()} to {values.max()})"
+        )
+    return values
+
+
+def _require_rng(rng):
+    """Reject an ``rng`` that is not a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator (got {rng!r})")
 
 
 def _level_to_watts(name, x_dbm):
@@ -257,8 +308,9 @@ def path_loss_db(distance_m, f_c_ghz, is_los):
     scattered branch 3.19 (31.9 dB/decade); both share the 32.4 dB intercept
     and 20 dB/decade frequency term.
     """
-    if np.any(np.asarray(distance_m) <= 0.0):
-        raise ValueError(f"distance_m must be > 0 (got {distance_m})")
+    distance_m = _checked_array("distance_m", distance_m, np.shape(distance_m))
+    if distance_m.min(initial=1.0) <= 0.0:
+        raise ValueError(f"distance_m must be > 0 (got {distance_m.min()})")
     _require_real("f_c_ghz", f_c_ghz, 0.0, strict=True)
     exponent = 21.0 if is_los else 31.9
     return 32.4 + exponent * np.log10(distance_m) + 20.0 * np.log10(f_c_ghz)
@@ -272,11 +324,10 @@ def draw_path_gains(distance_m, f_c_ghz, n_nlos_paths, rng):
     real; each scattered path carries a phase ``exp(-2j*pi*v)``, one
     ``v ~ U[0, 1)`` per path, drawn link by link in C order.
     """
-    distance_m = np.asarray(distance_m, dtype=float)
     # float_power rounds like a scalar power; numpy's SIMD power may not
     los = np.float_power(10.0, -path_loss_db(distance_m, f_c_ghz, True) / 20.0)
     nlos = np.float_power(10.0, -path_loss_db(distance_m, f_c_ghz, False) / 20.0)
-    v = rng.random(distance_m.shape + (n_nlos_paths,))
+    v = rng.random(los.shape + (n_nlos_paths,))
     return np.concatenate((los[..., None], nlos[..., None] * np.exp(-2j * np.pi * v)),
                           axis=-1)
 

@@ -155,7 +155,6 @@ class TestDftMatrix:
 class TestChannelSet:
     # bad blocks are cells of tests/test_boundary.py's table
     test_shape_validation = earlier("TestChannelSet.test_shape_validation")
-    test_needs_a_surface = earlier("TestChannelSet.test_needs_a_surface")
     test_rejects_non_finite_entries = earlier(
         "TestChannelSet.test_rejects_non_finite_entries")
 

@@ -57,7 +57,6 @@ class TestExperimentSpec:
             _spec(sweep_param="carrier_freq_ghz")
 
     # bad settings are cells of tests/test_boundary.py's table
-    test_rejects_empty_values = earlier("TestExperimentSpec.test_rejects_empty_values")
     test_rejects_bad_trial_count = earlier("TestExperimentSpec.test_rejects_bad_trial_count")
 
     def test_rejects_infeasible_derived_config(self):
@@ -69,8 +68,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="infeasible sweep value m_total=1"):
             _spec(sweep_param="m_total", sweep_values=(1,))
 
-    test_rejects_nonpositive_value = earlier(
-        "TestExperimentSpec.test_rejects_nonpositive_value")
     test_rejects_non_integral_counts = earlier(
         "TestExperimentSpec.test_rejects_non_integral_counts")
 

@@ -117,8 +117,6 @@ class TestSinr:
             expected = p[k] * np.linalg.norm(h[:, k]) ** 2 / 1e-2
             assert _sinr(k, h, mask, p, 1e-2) == pytest.approx(expected, rel=1e-12)
 
-    test_noise_domain_error = earlier("TestSinr.test_noise_domain_error")
-
 
 def _oracle_instance(rng, i):
     """Random (h, selected, powers, sigma2); every few draws an edge case."""
@@ -236,8 +234,6 @@ class TestBoundary:
     test_rejects_bad_beam_sets = earlier("TestBoundary.test_rejects_bad_beam_sets")
     test_rejects_bad_powers = earlier("TestBoundary.test_rejects_bad_powers")
     test_rejects_complex_powers = earlier("TestBoundary.test_rejects_complex_powers")
-    test_rejects_power_count_mismatch = earlier(
-        "TestBoundary.test_rejects_power_count_mismatch")
     test_rejects_non_finite_channel = earlier("TestBoundary.test_rejects_non_finite_channel")
 
     def test_rejects_overflowing_sinr(self):
@@ -583,9 +579,8 @@ def test_empty_batch_gives_empty_rates():
     cfg = make_config(n_antennas=8, n_users=3, n_ris=2, m_total=10,
                       n_selected_beams=4)
     ev = SumRateEvaluator(realize_channels(cfg, derive_stream(19, 1)))
-    for n_s in (4, 0):
-        got = ev.sum_rates(*_batch(cfg, 0, n_s, 19), cfg.noise_variance)
-        assert got.shape == (0,) and got.dtype == float
+    got = ev.sum_rates(*_batch(cfg, 0, 4, 19), cfg.noise_variance)
+    assert got.shape == (0,) and got.dtype == float
 
 
 def test_reused_evaluator_matches_a_fresh_one():
