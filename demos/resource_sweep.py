@@ -8,7 +8,7 @@ from beamswarm import ExperimentSpec, PsoConfig, emit_csv, make_config, run_swee
 
 spec = ExperimentSpec(
     scenario=make_config(n_selected_beams=16, rng_seed=0),
-    pso=PsoConfig(rng_seed=0),
+    pso=PsoConfig(),
     sweep_param="n_users",
     sweep_values=(4, 8, 16),
     n_trials=20,

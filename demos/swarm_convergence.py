@@ -6,11 +6,11 @@ from beamswarm import PsoConfig, make_config, optimize, realize_channels, derive
 from beamswarm.harness import emit_trace_csv, iterations_to_fraction
 
 cfg = make_config(rng_seed=1)
-pso_cfg = PsoConfig(rng_seed=1)  # A=50 particles, T=200 iterations
+pso_cfg = PsoConfig()  # A=50 particles, T=200 iterations
 
 channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0))
 solution, best_rate, trace = optimize(
-    channels, cfg, pso_cfg, derive_stream(pso_cfg.rng_seed, 1)
+    channels, cfg, pso_cfg, derive_stream(cfg.rng_seed, 1)
 )
 
 print(f"random initialization: {trace[0]:.3f} bit/s/Hz")

@@ -33,7 +33,7 @@ CONFIGS = (
     ("uneven_a20_t40", {"n_ris": 3, "uc_per_ris": (5, 9, 2)},
      {"n_particles": 20, "n_iterations": 40}),
     ("k16_ns16_t50_seed7", {"n_users": 16, "n_selected_beams": 16, "rng_seed": 7},
-     {"n_iterations": 50, "rng_seed": 7}),
+     {"n_iterations": 50}),
 )
 N_TRIALS = 4
 POSITIONS = ("population", "velocity", "personal_best")
@@ -66,7 +66,7 @@ def run_configs(src):
         for trial in range(N_TRIALS):
             channels = realize_channels(scenario, derive_stream(scenario.rng_seed, 0, trial))
             best, rate, trace = optimize(
-                channels, scenario, pso_cfg, derive_stream(pso_cfg.rng_seed, 1, trial),
+                channels, scenario, pso_cfg, derive_stream(scenario.rng_seed, 1, trial),
                 callback=record,
             )
             for field in (best.beam_set, best.powers, best.phases):

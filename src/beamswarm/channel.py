@@ -1,8 +1,9 @@
 """Array responses, spatial channels and the fixed beamspace transform.
 
 A :class:`ChannelSet` holds one realization of the per-surface channel
-matrices together with the lens beamforming matrix. All functions are pure;
-a constructed ``ChannelSet`` is immutable and safe to share across threads.
+matrices, and the lens beamforming matrix that their antenna count fixes.
+All functions are pure; a constructed ``ChannelSet`` is immutable and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -87,42 +88,43 @@ def dft_matrix(n):
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One realization of all spatial channels plus the beamforming matrix.
+    """One realization of all spatial channels.
 
     ``bs_ris[j]`` is the (N, M_j) base-station-to-surface matrix and
-    ``ris_ue[j]`` the (M_j, K) surface-to-users matrix, for J >= 1 surfaces.
+    ``ris_ue[j]`` the (M_j, K) surface-to-users matrix, for J >= 1 surfaces;
+    the rows of ``bs_ris[0]`` fix N and the lens matrix ``dft_matrix(N)``.
     Entries must be finite; arrays are marked read-only on construction.
     """
 
     bs_ris: tuple
     ris_ue: tuple
-    dft_matrix: np.ndarray
 
     def __post_init__(self):
-        n = np.shape(self.dft_matrix)[:1] or ("N",)  # its rows fix N
-        u = _checked_array("dft_matrix", self.dft_matrix, n * 2, "numbers")
         scenario._require_int("len(bs_ris)", len(self.bs_ris), 1)
         if len(self.ris_ue) != len(self.bs_ris):
             raise ValueError(f"ris_ue must hold {len(self.bs_ris)} matrices, one per "
                              f"surface of bs_ris (got {len(self.ris_ue)})")
         # a NaN or inf entry would make _low_rank drop or poison its surface;
-        # the users of surface 0 fix K for the others
-        bs_ris, ris_ue, k = [], [], "K"
+        # surface 0 fixes N and K for the others
+        bs_ris, ris_ue, n, k = [], [], "N", "K"
         for j, (c, g) in enumerate(zip(self.bs_ris, self.ris_ue)):
-            c = _checked_array(f"bs_ris[{j}]", c, (*n, f"M_{j}"), "numbers")
+            c = _checked_array(f"bs_ris[{j}]", c, (n, f"M_{j}"), "numbers")
             g = _checked_array(f"ris_ue[{j}]", g, (c.shape[1], k), "numbers")
             bs_ris.append(c)
             ris_ue.append(g)
-            k = g.shape[1]
-        for arr in (u, *bs_ris, *ris_ue):
+            n, k = c.shape[0], g.shape[1]
+        for arr in (*bs_ris, *ris_ue):
             arr.setflags(write=False)
-        object.__setattr__(self, "dft_matrix", u)
         object.__setattr__(self, "bs_ris", tuple(bs_ris))
         object.__setattr__(self, "ris_ue", tuple(ris_ue))
 
     @property
     def n_antennas(self):
-        return self.dft_matrix.shape[0]
+        return self.bs_ris[0].shape[0]
+
+    @property
+    def dft_matrix(self):
+        return dft_matrix(self.n_antennas)
 
     @property
     def n_users(self):
@@ -171,7 +173,6 @@ def realize_channels(config, rng):
     user links surface by surface), and assembles the per-surface matrices.
     Draw order is fixed, so one seed reproduces the realization bit for bit.
     """
-    scenario._require_rng(rng)
     layout = scenario.place_nodes(config, rng)
     angles = scenario.draw_angles(config, rng)
     f_c, n_p = config.carrier_freq_ghz, config.n_nlos_paths
@@ -184,5 +185,4 @@ def realize_channels(config, rng):
                 for j, m_j in enumerate(config.uc_per_ris)],
         ris_ue=[ris_ue_channel(ue_gains[j], ue_dep[j], m_j)
                 for j, m_j in enumerate(config.uc_per_ris)],
-        dft_matrix=dft_matrix(config.n_antennas),
     )

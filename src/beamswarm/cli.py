@@ -2,12 +2,12 @@
 
 Settings come from an optional JSON config file of flat keys, with command
 line flags taking precedence: the keywords of ``make_config`` (powers in
-dBm), the ``PsoConfig`` fields, and ``rng_seed``, which seeds the channels
-and the swarm as ``--seed`` does. Other keys fail. ``--m-total`` or
-``--n-ris`` replaces the file's ``uc_per_ris``, whose sum and length stand
-in for whichever of the two is unset; a file may not set both ``m_total``
-and ``uc_per_ris``. Exits 0 on success; failures print one ``error: ...``
-line on stderr.
+dBm), among them ``rng_seed``, which seeds the channels and the swarm as
+``--seed`` does, and the ``PsoConfig`` fields. Other keys fail.
+``--m-total`` or ``--n-ris`` replaces the file's ``uc_per_ris``, whose sum
+and length stand in for whichever of the two is unset; a file may not set
+both ``m_total`` and ``uc_per_ris``. Exits 0 on success; failures print one
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -111,12 +111,9 @@ def _assemble(args):
     settings.update(flags)
     if args.seed is not None:
         settings["rng_seed"] = args.seed
-    seed = settings.pop("rng_seed", 0)
     pso_kwargs = {f.name: settings.pop(f.name)
                   for f in dataclasses.fields(PsoConfig) if f.name in settings}
-    scenario = make_config(rng_seed=seed, **settings)
-    pso_cfg = PsoConfig(rng_seed=seed, **pso_kwargs)
-    return scenario, pso_cfg
+    return make_config(**settings), PsoConfig(**pso_kwargs)
 
 
 def _parse_values(text):

@@ -89,13 +89,14 @@ class SweepResult:
 def run_trial(scenario, pso_cfg, trial_index):
     """One channel realization plus one swarm run on it.
 
+    The channels and the swarm draw on two streams of ``scenario.rng_seed``.
     Returns (optimized sum rate, random-initialization baseline, trace);
     the baseline is trace index 0.
     """
     _require_int("trial_index", trial_index, 0)
     channel_rng = derive_stream(scenario.rng_seed, _CHANNEL_TAG, trial_index)
     channels = realize_channels(scenario, channel_rng)
-    swarm_rng = derive_stream(pso_cfg.rng_seed, _SWARM_TAG, trial_index)
+    swarm_rng = derive_stream(scenario.rng_seed, _SWARM_TAG, trial_index)
     _, best_rate, trace = optimize(channels, scenario, pso_cfg, swarm_rng)
     return best_rate, float(trace[0]), trace
 
@@ -112,9 +113,6 @@ def _value_tasks(spec):
         scenario, pso_cfg = derive_configs(spec, value)
         scenario = dataclasses.replace(
             scenario, rng_seed=derive_seed(spec.scenario.rng_seed, v_index)
-        )
-        pso_cfg = dataclasses.replace(
-            pso_cfg, rng_seed=derive_seed(spec.pso.rng_seed, v_index)
         )
         tasks.extend((scenario, pso_cfg, t) for t in range(spec.n_trials))
     return tasks

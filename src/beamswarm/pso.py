@@ -31,12 +31,10 @@ class PsoConfig:
     inertia: float = 0.05
     learn_global: float = 2.0
     learn_local: float = 2.0
-    rng_seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("n_particles", None), ("n_iterations", 1),
-                              ("rng_seed", 0)):
-            _require_int(name, getattr(self, name), minimum)
+        _require_int("n_particles", self.n_particles, None)
+        _require_int("n_iterations", self.n_iterations, 1)
         if self.n_particles < 3:
             raise ValueError(
                 "n_particles must be >= 3: the ring topology needs two "
@@ -132,6 +130,7 @@ def constraints_check(column, n_antennas, n_users, total_power, rng):
 
 def init_swarm(scenario, pso_cfg, rng):
     """Random population (zeros for velocity), projected once, unevaluated."""
+    _require_rng(rng)
     n, k, m = scenario.n_antennas, scenario.n_users, scenario.total_uc
     n_vars = n + k + m
     a = pso_cfg.n_particles
@@ -259,9 +258,9 @@ def update_velocity_and_position(swarm, scenario, cfg, rng):
 def optimize(channels, scenario, cfg, rng, callback=None):
     """Run the swarm against one channel realization.
 
-    ``rng``, the swarm's stream, is required: ``cfg.rng_seed`` is not read.
-    Returns (best Solution, its sum rate, trace). The trace has
-    n_iterations + 1 entries; index 0 is the best of the random
+    ``rng`` is the swarm's stream; ``run_trial`` derives it from the
+    scenario's seed. Returns (best Solution, its sum rate, trace). The trace
+    has n_iterations + 1 entries; index 0 is the best of the random
     initialization and the series is non-decreasing. ``callback(t, swarm)``,
     if given, fires after each evaluation (t = 0 .. n_iterations) with the
     post-projection population. Raises ValueError when the best sum rate is

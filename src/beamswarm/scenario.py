@@ -109,7 +109,7 @@ def _checked_array(name, values, shape, family="real numbers",
         return values
     values = values.astype(float, copy=False)
     # NaN fails both comparisons, and inf fails the default finite bounds
-    if not (low <= values.min(initial=0) and values.max(initial=0) <= high):
+    if not (low <= values.min(initial=high) and values.max(initial=low) <= high):
         raise ValueError(
             f"{name} must be finite and lie in [{low}, {high}] "
             f"(got entries from {values.min()} to {values.max()})"
@@ -181,7 +181,7 @@ class ScenarioConfig:
     cell_radius_m, ue_ring_min_m, ue_ring_max_m : float
         Cell radius and the annulus that contains the users, in meters.
     rng_seed : int
-        Seed for all scenario-level randomness.
+        Seed of a trial's channel and swarm streams (see ``run_trial``).
     """
 
     n_antennas: int = 64
@@ -237,14 +237,16 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, n_ris=None,
                 **kwargs):
     """Build a :class:`ScenarioConfig` from dBm power levels.
 
-    ``m_total`` (default 128) splits cells evenly over ``n_ris`` (default 8)
-    surfaces; ``uc_per_ris`` sets an uneven layout, and ``n_ris`` must agree.
+    ``m_total`` splits cells evenly over ``n_ris`` surfaces, by default the
+    sum and the length of ``ScenarioConfig.uc_per_ris`` (128 over 8);
+    ``uc_per_ris`` sets an uneven layout, and ``n_ris`` must agree.
     """
     total_power = _level_to_watts("power_dbm", power_dbm)
     noise_variance = _level_to_watts("noise_dbm", noise_dbm)
     if "uc_per_ris" not in kwargs:
         n_ris = len(ScenarioConfig.uc_per_ris) if n_ris is None else n_ris
-        kwargs["uc_per_ris"] = even_split(128 if m_total is None else m_total, n_ris)
+        m_total = sum(ScenarioConfig.uc_per_ris) if m_total is None else m_total
+        kwargs["uc_per_ris"] = even_split(m_total, n_ris)
     elif m_total is not None:
         raise ValueError("pass either m_total or uc_per_ris, not both")
     elif n_ris is not None:
@@ -284,6 +286,7 @@ def place_nodes(config, rng):
     the cell circumference, and each user gets an independent uniform angle
     with a radius uniform on the configured ring.
     """
+    _require_rng(rng)
     j = np.arange(config.n_ris)
     ris_angle = 2.0 * np.pi * j / config.n_ris
     ris_xy = config.cell_radius_m * np.column_stack(
@@ -324,6 +327,7 @@ def draw_path_gains(distance_m, f_c_ghz, n_nlos_paths, rng):
     real; each scattered path carries a phase ``exp(-2j*pi*v)``, one
     ``v ~ U[0, 1)`` per path, drawn link by link in C order.
     """
+    _require_rng(rng)
     # float_power rounds like a scalar power; numpy's SIMD power may not
     los = np.float_power(10.0, -path_loss_db(distance_m, f_c_ghz, True) / 20.0)
     nlos = np.float_power(10.0, -path_loss_db(distance_m, f_c_ghz, False) / 20.0)
@@ -358,6 +362,7 @@ def draw_angles(config, rng):
     (-pi/2, pi/2); base-station departures are uniform on the full circle.
     All draws are independent of the node positions.
     """
+    _require_rng(rng)
     n_path = config.n_nlos_paths + 1
     j, k = config.n_ris, config.n_users
     angles = AngleDraws(

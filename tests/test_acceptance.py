@@ -20,7 +20,7 @@ from beamswarm.channel import (
     to_beamspace,
 )
 from beamswarm.cli import main
-from beamswarm.harness import _run_tasks, summary_path_for
+from beamswarm.harness import _pool, summary_path_for
 from beamswarm.linkrate import SumRateEvaluator, evaluate_solution, sum_rate
 from beamswarm.pso import PsoConfig, Solution, optimize, top_beam_indices
 from beamswarm.scenario import derive_seed, derive_stream, make_config
@@ -30,6 +30,13 @@ N_TRIALS = 200
 # (n_users, n_selected_beams, m_total) -> per-trial rates, baselines, traces
 _MC_CACHE = {}
 _TINY_RUNS = []
+
+
+def _mc_trace(task):
+    """One trial's trace, its swarm seeded apart from its channels."""
+    scenario, swarm_seed, t = task
+    channels = realize_channels(scenario, derive_stream(scenario.rng_seed, 0, t))
+    return optimize(channels, scenario, PsoConfig(), derive_stream(swarm_seed, 1, t))[2]
 
 
 def _mc_point(n_users, n_selected, m_total):
@@ -42,10 +49,10 @@ def _mc_point(n_users, n_selected, m_total):
             m_total=m_total,
             rng_seed=derive_seed(101, *key),
         )
-        pso_cfg = PsoConfig(rng_seed=derive_seed(202, *key))
-        # run_trial's rate and baseline are its trace's last and first entries
-        tasks = [(scenario, pso_cfg, t) for t in range(N_TRIALS)]
-        traces = _run_tasks(tasks, jobs=2)
+        # a trial's rate and baseline are its trace's last and first entries
+        tasks = [(scenario, derive_seed(202, *key), t) for t in range(N_TRIALS)]
+        with _pool(2) as pool:
+            traces = list(pool.map(_mc_trace, tasks))
         _MC_CACHE[key] = {
             "rates": np.array([trace[-1] for trace in traces]),
             "baselines": np.array([trace[0] for trace in traces]),
@@ -64,7 +71,7 @@ def _tiny_runs():
         return _TINY_RUNS
     scenario = make_config(n_antennas=4, n_users=2, n_ris=1, m_total=4,
                            n_selected_beams=2, rng_seed=11)
-    pso_cfg = PsoConfig(rng_seed=13)  # A=50, T=200
+    pso_cfg = PsoConfig()  # A=50, T=200
 
     pairs = np.array(list(itertools.combinations(range(4), 2)))
     levels = np.array(
@@ -102,7 +109,7 @@ def _tiny_runs():
 
         _, pso_rate, trace = optimize(
             channels, scenario, pso_cfg,
-            derive_stream(pso_cfg.rng_seed, 1, run), callback=record,
+            derive_stream(13, 1, run), callback=record,
         )
         _TINY_RUNS.append({
             "oracle": float(grid[top]),

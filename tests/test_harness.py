@@ -17,8 +17,9 @@ from beamswarm.harness import (
     run_trial,
     summary_path_for,
 )
-from beamswarm.pso import PsoConfig
-from beamswarm.scenario import derive_seed, make_config
+from beamswarm.channel import realize_channels
+from beamswarm.pso import PsoConfig, optimize
+from beamswarm.scenario import derive_seed, derive_stream, make_config
 from test_boundary import earlier
 
 
@@ -35,8 +36,8 @@ def _base_scenario(seed=11):
                        n_selected_beams=4, rng_seed=seed)
 
 
-def _base_pso(seed=7):
-    return PsoConfig(n_particles=4, n_iterations=5, rng_seed=seed)
+def _base_pso():
+    return PsoConfig(n_particles=4, n_iterations=5)
 
 
 def _spec(**overrides):
@@ -56,9 +57,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="sweep_param must be one of"):
             _spec(sweep_param="carrier_freq_ghz")
 
-    # bad settings are cells of tests/test_boundary.py's table
-    test_rejects_bad_trial_count = earlier("TestExperimentSpec.test_rejects_bad_trial_count")
-
     def test_rejects_infeasible_derived_config(self):
         # n_users=16 would exceed the base n_selected_beams=4
         with pytest.raises(ValueError, match="infeasible sweep value n_users=16"):
@@ -68,6 +66,7 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="infeasible sweep value m_total=1"):
             _spec(sweep_param="m_total", sweep_values=(1,))
 
+    # bad settings are cells of tests/test_boundary.py's table
     test_rejects_non_integral_counts = earlier(
         "TestExperimentSpec.test_rejects_non_integral_counts")
 
@@ -118,6 +117,12 @@ class TestRunTrial:
         _, _, t3 = run_trial(*args, 4)
         assert not np.array_equal(t1, t3)
 
+    def test_both_streams_come_from_the_scenario_seed(self):
+        scenario, pso = _base_scenario(), _base_pso()
+        channels = realize_channels(scenario, derive_stream(11, 0, 2))
+        _, rate, _ = optimize(channels, scenario, pso, derive_stream(11, 1, 2))
+        assert run_trial(scenario, pso, 2)[0] == rate
+
 
 class TestRunSweep:
     def test_shapes_and_aggregates(self):
@@ -137,9 +142,6 @@ class TestRunSweep:
             scenario, pso = derive_configs(spec, value)
             scenario = dataclasses.replace(
                 scenario, rng_seed=derive_seed(spec.scenario.rng_seed, v_index)
-            )
-            pso = dataclasses.replace(
-                pso, rng_seed=derive_seed(spec.pso.rng_seed, v_index)
             )
             traces = []
             for t in range(spec.n_trials):

@@ -667,7 +667,7 @@ def test_optimize_matches_a_run_on_the_replaced_formulas(case, monkeypatch):
     cfg = make_config(**scenario_kwargs)
     pcfg = PsoConfig(**pso_kwargs)
     channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0, 1))
-    got = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
+    got = optimize(channels, cfg, pcfg, derive_stream(cfg.rng_seed, 1, 1))
     exp_calls = []
 
     def exp_phasors(phases, out, scratch, rot):
@@ -681,7 +681,7 @@ def test_optimize_matches_a_run_on_the_replaced_formulas(case, monkeypatch):
         m.setattr(pso, "top_beam_indices", argsort_top)
         m.setattr(pso, "update_bests", rolled_bests)
         m.setattr(pso, "update_velocity_and_position", allocating_velocity)
-        want = optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 1))
+        want = optimize(channels, cfg, pcfg, derive_stream(cfg.rng_seed, 1, 1))
     # the evaluator called the patched map, once per evaluation of the swarm
     assert exp_calls == [(cfg.total_uc, pcfg.n_particles)] * (pcfg.n_iterations + 1)
     for field in ("beam_set", "powers", "phases"):
@@ -715,7 +715,7 @@ def test_iteration_allocates_little_beyond_the_run_buffers(
 
     tracemalloc.start()
     try:
-        optimize(channels, cfg, pcfg, derive_stream(pcfg.rng_seed, 1, 2),
+        optimize(channels, cfg, pcfg, derive_stream(cfg.rng_seed, 1, 2),
                  callback=callback)
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import pytest
 from beamswarm.scenario import (
     AngleDraws,
     ScenarioConfig,
+    _checked_array,
     dbm_to_watts,
     derive_seed,
     derive_stream,
@@ -32,6 +33,13 @@ def test_even_split():
     assert sum(even_split(257, 8)) == 257
     with pytest.raises(ValueError):
         even_split(3, 4)
+
+
+def test_checked_array_bounds_away_from_zero():
+    assert _checked_array("x", [5.0], (1,), low=1.0) == pytest.approx([5.0])
+    assert _checked_array("x", [-5.0], (1,), high=-1.0) == pytest.approx([-5.0])
+    with pytest.raises(ValueError, match=r"^x must be finite and lie in \[1.0, "):
+        _checked_array("x", [5.0, 0.5], (2,), low=1.0)
 
 
 class TestScenarioConfig:
@@ -71,15 +79,13 @@ class TestScenarioConfig:
             make_config(n_selected_beams=65)
         make_config(n_users=8, n_selected_beams=8)  # boundary is legal
 
-    # bad settings are cells of tests/test_boundary.py's table
-    test_uc_list_validation = earlier("TestScenarioConfig.test_uc_list_validation")
-
     def test_surface_count_is_the_layout_length(self):
         assert ScenarioConfig(uc_per_ris=(32,) * 4).n_ris == 4
         assert make_config(uc_per_ris=(16,) * 7).n_ris == 7
         with pytest.raises(TypeError, match="n_ris"):
             ScenarioConfig(n_ris=4)  # derived, not settable
 
+    # bad settings are cells of tests/test_boundary.py's table
     test_empty_layout_rejected = earlier("TestScenarioConfig.test_empty_layout_rejected")
 
     def test_surface_count_must_match_layout(self):
