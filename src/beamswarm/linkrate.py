@@ -302,7 +302,12 @@ class SumRateEvaluator:
         beam_sets = _sorted_beam_sets("beam_sets", _checked_array(
             "beam_sets", beam_sets, ("N_s", a), "integers", high=self.n_antennas - 1))
         powers = _checked_array("powers", powers, (self.n_users, a), low=0.0)
+        return self._score(phases, beam_sets, powers, noise_variance)
+
+    def _score(self, phases, beam_sets, powers, noise_variance):
+        """:meth:`sum_rates` without its checks, for a batch that passes them
+        as it is: float phases, unique intp beam sets, float powers."""
         h_sel = self.beamspace_channels(phases, beam_sets)  # (A, K, N_s)
-        work = self._buffers(a, beam_sets.shape[0])[4]
+        work = self._buffers(phases.shape[1], beam_sets.shape[0])[4]
         sinrs = _mrt_sinrs(h_sel, powers.T, noise_variance, work)
         return np.log1p(sinrs).sum(axis=1) / _LN2

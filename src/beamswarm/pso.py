@@ -174,7 +174,17 @@ def top_beam_indices(scores, n_selected):
         )
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
-    by_column = scores.T if scores.ndim == 2 else scores[None]  # (A, N)
+    if scores.ndim == 1:
+        return _top_beams(scores[:, None], n_selected)[:, 0]
+    return _top_beams(scores, n_selected)
+
+
+def _top_beams(scores, n_selected):
+    """:func:`top_beam_indices` without its checks, for an (N, A) matrix of
+    real non-NaN scores and an int ``n_selected`` in [1, N]. Each column of
+    the (N_s, A) result is sorted and unique."""
+    n = scores.shape[0]
+    by_column = scores.T  # (A, N)
     cut = np.partition(by_column, n - n_selected, axis=1)[:, n - n_selected, None]
     # each column holds at least n_selected scores >= its cut
     keep = np.greater_equal(by_column, cut, order="C")
@@ -186,8 +196,6 @@ def top_beam_indices(scores, n_selected):
             np.cumsum(ties, axis=1) <= n_selected - keep.sum(axis=1, keepdims=True)
         )
     rows = keep.ravel().nonzero()[0] % n  # column by column, rows ascending
-    if scores.ndim == 1:
-        return rows
     return rows.reshape(-1, n_selected).T
 
 
@@ -293,8 +301,10 @@ def optimize(channels, scenario, cfg, rng, callback=None):
                     f"and learn_local={cfg.learn_local}"
                 ) from None
         f = swarm.population
-        idx = top_beam_indices(f[:n], n_sel)
-        swarm.quality = evaluator.sum_rates(f[n + k :], idx, f[n : n + k], sigma2)
+        # the projections keep phases in [0, 2*pi) and powers >= 0, and the
+        # move's errstate raises before a non-finite entry reaches them
+        idx = _top_beams(f[:n], n_sel)
+        swarm.quality = evaluator._score(f[n + k :], idx, f[n : n + k], sigma2)
         update_bests(swarm)
         if not math.isfinite(swarm.global_best_value):
             raise ValueError(

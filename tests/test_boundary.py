@@ -304,8 +304,6 @@ EARLIER = {
         r"overrides2-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "fraction"),
         r"overrides3-sweep_values\[1\]": ("ExperimentSpec.sweep_values", "float"),
         r"overrides4-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "str")},
-    "TestRunSweep.test_rejects_bad_job_count": [("run_sweep.jobs", "below"),
-                                                ("run_sweep.jobs", "float")],
     "test_booleans_are_not_sizes": {
         **{key: (key, "bool") for key in (
             "ExperimentSpec.n_trials", "ExperimentSpec.sweep_values",
@@ -328,7 +326,6 @@ EARLIER = {
         "jobs": ("run_sweep.jobs", "below")},
     "test_non_integral_indices_are_rejected_not_truncated": {
         "trial_index_float": ("run_trial.trial_index", "float"),
-        "trial_index_negative": ("run_trial.trial_index", "below"),
         "trial_index_str": ("run_trial.trial_index", "str"),
         "derive_stream_float": ("derive_stream.seed", "fraction"),
         "derive_seed_float_key": ("derive_seed.key", "fraction"),
@@ -383,9 +380,6 @@ EARLIER = {
         "learn_local-nan": ("PsoConfig.learn_local", "nan")},
     "TestScenarioConfig.test_empty_layout_rejected": [
         ("ScenarioConfig.uc_per_ris", "empty"), ("make_config.uc_per_ris", "empty")],
-    "TestScenarioConfig.test_positivity_checks": [
-        (f"ScenarioConfig.{row}", "below")
-        for row in ("total_power", "noise_variance", "n_nlos_paths", "rng_seed")],
     "TestScenarioConfig.test_rejects_non_integral_and_non_finite": {
         f"kwargs{i}-{name}": (key, cls) for i, (name, key, cls) in enumerate((
             ("power_dbm", "make_config.power_dbm", "nan"),

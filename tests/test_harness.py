@@ -208,8 +208,6 @@ class TestRunSweep:
         assert result.rates.shape == (2, 1)
         assert np.all(result.stderrs == 0.0)
 
-    test_rejects_bad_job_count = earlier("TestRunSweep.test_rejects_bad_job_count")
-
 
 # the cases of these three tests are cells of tests/test_boundary.py's table
 test_booleans_are_not_sizes = earlier("test_booleans_are_not_sizes")

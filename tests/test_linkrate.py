@@ -592,6 +592,28 @@ def test_reused_evaluator_matches_a_fresh_one():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case", ["defaults", "k16_ns16", "zero_energy_user"])
+def test_unchecked_score_has_the_bits_of_sum_rates(case):
+    if case == "zero_energy_user":
+        # user 0 sees no cell; U C maps the two cells onto beams 2 and 3
+        c = dft_matrix(4).conj().T[:, 2:]
+        ch = ChannelSet((c,), (np.array([[0.0, 1.0], [0.0, 1.0j]]),))
+        phases = derive_stream(27, 1).uniform(0, 2 * np.pi, (2, 6))
+        beam_sets = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+        batch, noise_variance = (phases, beam_sets, np.ones((2, 6))), 1e-3
+    else:
+        cfg = make_config(**({} if case == "defaults" else
+                             {"n_users": 16, "n_selected_beams": 16}))
+        ch = realize_channels(cfg, derive_stream(27, 1))
+        phases, beam_sets, powers = _batch(cfg, 50, cfg.n_selected_beams, 27)
+        batch = phases, np.sort(beam_sets, axis=0), powers
+        noise_variance = cfg.noise_variance
+    ev = SumRateEvaluator(ch)
+    got = ev._score(*batch, noise_variance)
+    assert got.tobytes() == ev.sum_rates(*batch, noise_variance).tobytes()
+    assert np.isfinite(got).all()
+
+
 def test_beamspace_channels_returns_a_new_array():
     cfg = make_config()
     ev = SumRateEvaluator(realize_channels(cfg, derive_stream(23, 1)))

@@ -6,7 +6,7 @@ import pytest
 
 from beamswarm import linkrate, pso
 from beamswarm.channel import realize_channels, split_phases
-from beamswarm.linkrate import evaluate_solution
+from beamswarm.linkrate import SumRateEvaluator, evaluate_solution
 from beamswarm.pso import (
     PsoConfig,
     Solution,
@@ -600,6 +600,8 @@ class TestAgainstReplacedFormulas:
             got = top_beam_indices(scores, n_selected)
             assert np.array_equal(got, argsort_top(scores, n_selected))
             assert got.shape == (n_selected, scores.shape[1])
+            # the unchecked core that optimize calls
+            assert pso._top_beams(scores, n_selected).tobytes() == got.tobytes()
             for column in scores.T:
                 assert np.array_equal(top_beam_indices(column, n_selected),
                                       argsort_top(column, n_selected))
@@ -668,26 +670,77 @@ def test_optimize_matches_a_run_on_the_replaced_formulas(case, monkeypatch):
     pcfg = PsoConfig(**pso_kwargs)
     channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0, 1))
     got = optimize(channels, cfg, pcfg, derive_stream(cfg.rng_seed, 1, 1))
-    exp_calls = []
+    exp_calls, top_calls = [], []
 
     def exp_phasors(phases, out, scratch, rot):
         exp_calls.append(phases.shape)
         out[...] = np.exp(1j * phases)
         return out
 
+    def argsort_beams(scores, n_selected):
+        top_calls.append(scores.shape)
+        return argsort_top(scores, n_selected)
+
     with monkeypatch.context() as m:
         m.setattr(linkrate, "_unit_phasors", exp_phasors)
         m.setattr(pso, "project_phases", mod_phases)
-        m.setattr(pso, "top_beam_indices", argsort_top)
+        m.setattr(pso, "_top_beams", argsort_beams)
         m.setattr(pso, "update_bests", rolled_bests)
         m.setattr(pso, "update_velocity_and_position", allocating_velocity)
         want = optimize(channels, cfg, pcfg, derive_stream(cfg.rng_seed, 1, 1))
-    # the evaluator called the patched map, once per evaluation of the swarm
-    assert exp_calls == [(cfg.total_uc, pcfg.n_particles)] * (pcfg.n_iterations + 1)
+    # the evaluator called the patched map and the loop the patched selection,
+    # once per evaluation of the swarm; decode selects the best's beams last
+    evaluations = pcfg.n_iterations + 1
+    assert exp_calls == [(cfg.total_uc, pcfg.n_particles)] * evaluations
+    assert top_calls == [(cfg.n_antennas, pcfg.n_particles)] * evaluations + [
+        (cfg.n_antennas, 1)]
     for field in ("beam_set", "powers", "phases"):
         assert getattr(got[0], field).tobytes() == getattr(want[0], field).tobytes()
     assert got[1] == pytest.approx(want[1], rel=2e-15, abs=0.0)
     assert got[2] == pytest.approx(want[2], rel=2e-15, abs=0.0)
+
+
+def _checked_core(monkeypatch, owner, name, checks):
+    """Make each call of ``owner.name`` first run ``checks`` on its arguments,
+    with the unwrapped core in place while they run; returns the calls."""
+    core = getattr(owner, name)
+    calls = []
+
+    def checked(*args):
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, core)
+            checks(*args)
+        calls.append(name)
+        return core(*args)
+
+    monkeypatch.setattr(owner, name, checked)
+    return calls
+
+
+def _sum_rates_checks(evaluator, phases, beam_sets, powers, noise_variance):
+    evaluator.sum_rates(phases, beam_sets, powers, noise_variance)
+    # as they are: sum_rates would sort the sets and cast the arrays
+    assert (beam_sets[1:] > beam_sets[:-1]).all()
+    assert (phases.dtype, beam_sets.dtype, powers.dtype) == (float, np.intp, float)
+
+
+@pytest.mark.parametrize("scenario_kwargs, pso_kwargs", [
+    ({"n_ris": 3, "uc_per_ris": (5, 9, 2)}, {"n_particles": 20, "n_iterations": 10}),
+    ({}, {"n_particles": 3, "n_iterations": 20}),
+    ({"n_users": 16, "n_selected_beams": 16}, {"n_particles": 10, "n_iterations": 5}),
+    ({}, {"n_particles": 10, "n_iterations": 10, "inertia": 0.9}),
+], ids=["uneven", "a3", "k16", "inertia0.9"])
+def test_optimize_hands_its_cores_only_batches_the_boundary_accepts(
+    scenario_kwargs, pso_kwargs, monkeypatch
+):
+    cfg = make_config(**scenario_kwargs)
+    pcfg = PsoConfig(**pso_kwargs)
+    channels = realize_channels(cfg, derive_stream(cfg.rng_seed, 0, 3))
+    scored = _checked_core(monkeypatch, SumRateEvaluator, "_score", _sum_rates_checks)
+    selected = _checked_core(monkeypatch, pso, "_top_beams", top_beam_indices)
+    optimize(channels, cfg, pcfg, derive_stream(cfg.rng_seed, 1, 3))
+    assert len(scored) == pcfg.n_iterations + 1
+    assert len(selected) == pcfg.n_iterations + 2  # and decode's
 
 
 @pytest.mark.parametrize(

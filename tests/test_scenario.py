@@ -105,7 +105,6 @@ class TestScenarioConfig:
             make_config(ue_ring_max_m=45.0)  # outside the cell
         make_config(ue_ring_min_m=30.0, ue_ring_max_m=30.0)  # degenerate ring
 
-    test_positivity_checks = earlier("TestScenarioConfig.test_positivity_checks")
     test_rejects_non_integral_and_non_finite = earlier(
         "TestScenarioConfig.test_rejects_non_integral_and_non_finite")
 
