@@ -79,18 +79,6 @@ class RateReport:
     sum_rate: float
 
 
-def validate_beam_set(selected, n_antennas):
-    """Check a beam index set and return it as a sorted int array.
-
-    At least one index; indices must be integers, unique, and lie in
-    [0, n_antennas); a negative index is rejected rather than wrapped.
-    """
-    # a copy, so the result never aliases the caller's array; [] would make floats
-    sel = np.array(selected) if np.size(selected) else np.empty(0, np.intp)
-    sel = _checked_array("selected", sel, ("N_s",), "integers", high=n_antennas - 1)
-    return _sorted_beam_sets("selected", sel[:, None])[:, 0]
-
-
 def _sorted_beam_sets(name, beam_sets):
     """Sort checked (N_s, A) beam sets, one per column, down axis 0, and
     reject empty sets (N_s = 0) and a set that repeats an index.
@@ -122,10 +110,13 @@ def _mrt_sinrs(h_sel, p, noise_variance, work):
     """Matched-filter SINRs of a batch: (A, K, N_s) channels, (A, K) powers.
 
     User i's precoder is conj(h_i(S)) / |h_i(S)|, so user k receives
-    p_i |<h_k(S), h_i(S)>|^2 / |h_i(S)|^2 from user i. Returns (A, K).
+    p_i |<h_k(S), h_i(S)>|^2 / |h_i(S)|^2 from each other user i; its own
+    term is left out, not subtracted, so no rounding residue stays in the
+    interference. Returns (A, K).
     ``work`` holds the (A, K, ·) arrays (see :func:`_sinr_work`).
     """
     h_conj, cross, cross_sq, received = work
+    k = h_sel.shape[1]
     np.conjugate(h_sel, out=h_conj)
     np.matmul(h_sel, h_conj.transpose(0, 2, 1), out=cross)  # (A, K, K)
     energy = cross.diagonal(axis1=1, axis2=2).real  # |h_k(S)|^2
@@ -135,26 +126,29 @@ def _mrt_sinrs(h_sel, p, noise_variance, work):
     received.fill(0.0)
     np.divide(cross_sq, denom, out=received, where=denom > 0.0)
     received *= p[:, None, :]
+    received.reshape(-1, k * k)[:, :: k + 1] = 0.0  # the diagonal, i = k
     signal = p * energy
-    # self-term cancellation is exact up to rounding; clamp the residue
-    interference = np.maximum(received.sum(axis=2) - signal, 0.0)
     with np.errstate(over="ignore"):  # an inf SINR; sum_rate and optimize reject it
-        return signal / (interference + noise_variance)
+        return signal / (received.sum(axis=2) + noise_variance)
 
 
 def sum_rate(h_beam, selected, powers, sigma2):
     """Achievable rates for all users under a shared beam selection.
 
     ``h_beam`` is the finite (N, K) beamspace channel, one column per user;
-    ``selected`` the beam indices (see :func:`validate_beam_set`);
-    ``powers`` the per-user transmit powers in watts, finite and >= 0.
+    ``selected`` N_s >= 1 unique integer beam indices in [0, N), in any
+    order (a negative index is rejected, not wrapped); ``powers`` the
+    per-user transmit powers in watts, finite and >= 0.
     Raises ValueError when an SINR overflows at these powers and ``sigma2``.
     """
     _require_real("sigma2", sigma2, 0.0, strict=True)
     h_beam = _checked_array("h_beam", h_beam, ("N", "K"), "numbers")
     n, k = h_beam.shape
     powers = _checked_array("powers", powers, (k,), low=0.0)
-    idx = validate_beam_set(selected, n)
+    if not np.size(selected):  # [] would make floats
+        selected = np.empty(0, np.intp)
+    idx = _checked_array("selected", selected, ("N_s",), "integers", high=n - 1)
+    idx = _sorted_beam_sets("selected", idx[:, None])[:, 0]
     sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2,
                       _sinr_work(1, k, idx.size))[0]
     if not np.isfinite(sinr).all():
@@ -274,6 +268,11 @@ class SumRateEvaluator:
         [a, k, s] is user k's channel on beam ``beam_sets[s, a]``. The
         returned array is new; the intermediates live in buffers the
         evaluator keeps between calls.
+
+        The unchecked core of :meth:`sum_rates`, which callers should use:
+        indices clip to [0, N) and a NaN phase passes into NaN channels. It
+        keeps its name for the benchmark's ``linkrate.beamspace`` span, whose
+        T + 1 calls per trial CI counts.
         """
         a = phases.shape[1]
         v, phase_work, z, p_rows, _ = self._buffers(a, beam_sets.shape[0])

@@ -19,7 +19,7 @@ import pytest
 from beamswarm.channel import ChannelSet, dft_matrix, realize_channels, steering
 from beamswarm.cli import _assemble, build_parser
 from beamswarm.harness import ExperimentSpec, run_sweep, run_trial
-from beamswarm.linkrate import SumRateEvaluator, sum_rate, validate_beam_set
+from beamswarm.linkrate import SumRateEvaluator, sum_rate
 from beamswarm.pso import PsoConfig, init_swarm, optimize
 from beamswarm.scenario import (ScenarioConfig, derive_seed, derive_stream, draw_angles,
                                 draw_path_gains, even_split, make_config, path_loss_db,
@@ -105,16 +105,6 @@ def out_of_range(low, high, lo, hi):
 POWER_RANGE = partial(out_of_range, 0.0, np.finfo(float).max)
 FINITE_RANGE = partial(out_of_range, -np.finfo(float).max, np.finfo(float).max)
 PHASE_RANGE = partial(out_of_range, -2.0**20, 2.0**20)
-# sum_rate's beams (N=4) and validate_beam_set's (n_antennas=4)
-SELECTED = {
-    "duplicate": ((0, 0, 1), "selected must be unique within each beam set"),
-    "below": ((-1, 0, 1), "selected must lie in [0, 3] (got entries from -1 to 1)"),
-    "above": ((0, 1, 4), "selected must lie in [0, 3] (got entries from 0 to 4)"),
-    "float": ((0.0, 1.5), "selected must hold integers (got dtype float64)"),
-    "empty": ([], "selected must hold at least one beam index"),
-    "ndim": ([[0, 1]], "selected must have shape (N_s,) (got (1, 2))"),
-    "str": (("0", "1"), "selected must hold integers (got dtype <U1)"),
-}
 NOT_FINITE = "{} must be finite (it holds NaN or inf)"
 RNG = {cls: (v, f"{{}} must be a numpy.random.Generator (got {v!r})")
        for cls, v in (("None", None), ("seed", 3))}
@@ -129,7 +119,6 @@ ENTRY = {
     "ChannelSet": partial(ChannelSet, bs_ris=(C, C), ris_ue=(G, G)),
     "sum_rate": partial(sum_rate, h_beam=np.ones((4, 2), complex), selected=(0, 1),
                         powers=(1.0, 1.0), sigma2=1e-3),
-    "validate_beam_set": partial(validate_beam_set, n_antennas=4),
     "sum_rates": partial(EVALUATOR.sum_rates, phases=PHASES, beam_sets=BEAMS,
                          powers=POWERS, noise_variance=1e-3),
     "optimize": partial(optimize, channels=CHANNELS, scenario=SCENARIO, cfg=PSO,
@@ -204,8 +193,14 @@ TABLE = {
         "nan": (poked((4, 2), NAN), NOT_FINITE), "inf": (poked((4, 2), INF), NOT_FINITE),
         "ndim": (np.ones(4), "{} must have shape (N, K) (got (4,))"),
         "str": (np.array([["a"]]), "{} must hold numbers (got dtype <U1)")},
-    "sum_rate.selected": SELECTED,
-    "validate_beam_set.selected": SELECTED,
+    "sum_rate.selected": {  # N=4
+        "duplicate": ((0, 0, 1), "selected must be unique within each beam set"),
+        "below": ((-1, 0, 1), "selected must lie in [0, 3] (got entries from -1 to 1)"),
+        "above": ((0, 1, 4), "selected must lie in [0, 3] (got entries from 0 to 4)"),
+        "float": ((0.0, 1.5), "selected must hold integers (got dtype float64)"),
+        "empty": ([], "selected must hold at least one beam index"),
+        "ndim": ([[0, 1]], "selected must have shape (N_s,) (got (1, 2))"),
+        "str": (("0", "1"), "selected must hold integers (got dtype <U1)")},
     "sum_rate.powers": {
         "below": ((1.0, -0.5), POWER_RANGE(-0.5, 1.0)),
         "nan": ((1.0, NAN), POWER_RANGE(NAN, NAN)),
@@ -276,7 +271,11 @@ TABLE = {
 }
 
 
-def reject(key, cls):
+CELLS = [(key, cls) for key, cells in TABLE.items() for cls in cells]
+
+
+@pytest.mark.parametrize("key, cls", CELLS, ids=[f"{k}-{c}" for k, c in CELLS])
+def test_bad_input_is_rejected_by_name(key, cls):
     """Cell (row ``key``, class ``cls``) raises a ValueError with its
     message, and no warning."""
     entry, arg = key.rsplit(".", 1)
@@ -286,141 +285,3 @@ def reject(key, cls):
         with pytest.raises(ValueError) as caught:
             ENTRY[entry](**{arg: value})
     assert str(caught.value) == message.replace("{}", arg)
-
-
-# Tests that held cases now in the table keep their names and ids, which
-# records of passing tests name, and run those cells; the table test leaves
-# them out. {test: {id: cell}} for a parametrized test, {test: [cells]} for
-# one that runs them in turn.
-EARLIER = {
-    "TestChannelSet.test_shape_validation": [
-        ("ChannelSet.ris_ue", "count"), ("ChannelSet.ris_ue", "shape")],
-    "TestChannelSet.test_rejects_non_finite_entries": {
-        f"{block}-{cls}": (f"ChannelSet.{row}", cls) for cls in ("nan", "inf")
-        for block, row in (("bs_ris[0]", "bs_ris"), ("ris_ue[1]", "ris_ue"))},
-    "TestExperimentSpec.test_rejects_non_integral_counts": {
-        "overrides0-n_trials": ("ExperimentSpec.n_trials", "fraction"),
-        "overrides1-n_trials": ("ExperimentSpec.n_trials", "float"),
-        r"overrides2-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "fraction"),
-        r"overrides3-sweep_values\[1\]": ("ExperimentSpec.sweep_values", "float"),
-        r"overrides4-sweep_values\[0\]": ("ExperimentSpec.sweep_values", "str")},
-    "test_booleans_are_not_sizes": {
-        **{key: (key, "bool") for key in (
-            "ExperimentSpec.n_trials", "ExperimentSpec.sweep_values",
-            "PsoConfig.n_iterations", "PsoConfig.n_particles",
-            "ScenarioConfig.n_antennas", "ScenarioConfig.n_nlos_paths",
-            "ScenarioConfig.n_selected_beams",
-            "ScenarioConfig.n_users", "ScenarioConfig.rng_seed", "ScenarioConfig.uc_per_ris",
-            "make_config.m_total", "run_trial.trial_index")},
-        "ScenarioConfig.n_ris": ("make_config.n_ris", "bool"),
-        "jobs": ("run_sweep.jobs", "bool")},
-    "test_integer_bounds_name_the_field": {
-        **{key: (key, "below") for key in (
-            "ExperimentSpec.n_trials", "PsoConfig.n_iterations",
-            "ScenarioConfig.n_antennas", "ScenarioConfig.n_nlos_paths",
-            "ScenarioConfig.n_users", "ScenarioConfig.rng_seed", "ScenarioConfig.uc_per_ris",
-            "dft_matrix.n", "make_config.n_ris", "run_trial.trial_index",
-            "steering.n_elements")},
-        "make_config.n_ris_with_uc_per_ris": ("make_config(uc_per_ris=(16,)).n_ris",
-                                              "below"),
-        "jobs": ("run_sweep.jobs", "below")},
-    "test_non_integral_indices_are_rejected_not_truncated": {
-        "trial_index_float": ("run_trial.trial_index", "float"),
-        "trial_index_str": ("run_trial.trial_index", "str"),
-        "derive_stream_float": ("derive_stream.seed", "fraction"),
-        "derive_seed_float_key": ("derive_seed.key", "fraction"),
-        "derive_seed_bool_seed": ("derive_seed.seed", "bool"),
-        "derive_stream_bool_key": ("derive_stream.key", "bool"),
-        "derive_stream_negative_key": ("derive_stream.key", "below"),
-        "derive_stream_negative_seed": ("derive_stream.seed", "below"),
-        "derive_seed_negative_seed": ("derive_seed.seed", "below"),
-        "derive_seed_negative_key": ("derive_seed.key", "below"),
-        "m_total_float": ("make_config.m_total", "fraction"),
-        "m_total_nan": ("make_config.m_total", "nan"),
-        "m_total_str": ("make_config.m_total", "str"),
-        "n_ris_float": ("make_config.n_ris", "float"),
-        "dft_matrix_float": ("dft_matrix.n", "fraction"),
-        "steering_float": ("steering.n_elements", "float")},
-    "TestBoundary.test_rejects_bad_beam_sets": {
-        "selected0-unique": ("sum_rate.selected", "duplicate"),
-        "selected1-lie in": ("sum_rate.selected", "below"),
-        "selected2-lie in": ("sum_rate.selected", "above")},
-    "TestBoundary.test_rejects_bad_powers": {
-        "-0.5": ("sum_rate.powers", "below"), "nan": ("sum_rate.powers", "nan"),
-        "inf": ("sum_rate.powers", "inf")},
-    "TestBoundary.test_rejects_complex_powers": {
-        "powers0": ("sum_rate.powers", "complex"),
-        "powers1": ("sum_rate.powers", "zero imaginary")},
-    "TestBoundary.test_rejects_non_finite_channel": {
-        cls: ("sum_rate.h_beam", cls) for cls in ("nan", "inf")},
-    "test_sum_rates_rejects_bad_batches": {
-        r"phases_1d-phases must be \(M, A\)": ("sum_rates.phases", "ndim"),
-        r"phases_rows-phases must be \(M, A\)": ("sum_rates.phases", "rows"),
-        "phases_nan-phases must be finite": ("sum_rates.phases", "nan"),
-        "beams_float-integer": ("sum_rates.beam_sets", "float"),
-        r"beams_columns-\(N_s, A\)": ("sum_rates.beam_sets", "columns"),
-        r"beams_negative-lie in \[0, 8\)": ("sum_rates.beam_sets", "below"),
-        r"beams_too_large-lie in \[0, 8\)": ("sum_rates.beam_sets", "above"),
-        "beams_duplicate-unique": ("sum_rates.beam_sets", "duplicate"),
-        r"powers_row-powers must be \(K, A\)": ("sum_rates.powers", "rows"),
-        r"powers_column-powers must be \(K, A\)": ("sum_rates.powers", "columns"),
-        "powers_negative-finite and >= 0": ("sum_rates.powers", "below"),
-        "powers_nan-finite and >= 0": ("sum_rates.powers", "nan"),
-        "powers_inf-finite and >= 0": ("sum_rates.powers", "inf"),
-        "noise_nan-noise_variance": ("sum_rates.noise_variance", "nan"),
-        "noise_zero-noise_variance": ("sum_rates.noise_variance", "below"),
-        r"phases_too_large-\|phase\| <= 2\^20 rad": ("sum_rates.phases", "too large"),
-        "phases_complex-phases must be real numbers": ("sum_rates.phases", "complex"),
-        "powers_complex-powers must be real numbers": ("sum_rates.powers", "complex")},
-    "TestPsoConfig.test_rejects_non_integral_and_non_finite": {
-        "n_particles-50.5": ("PsoConfig.n_particles", "fraction"),
-        "n_iterations-10.0": ("PsoConfig.n_iterations", "float"),
-        "inertia-nan": ("PsoConfig.inertia", "nan"),
-        "learn_global-inf": ("PsoConfig.learn_global", "inf"),
-        "learn_local-nan": ("PsoConfig.learn_local", "nan")},
-    "TestScenarioConfig.test_empty_layout_rejected": [
-        ("ScenarioConfig.uc_per_ris", "empty"), ("make_config.uc_per_ris", "empty")],
-    "TestScenarioConfig.test_rejects_non_integral_and_non_finite": {
-        f"kwargs{i}-{name}": (key, cls) for i, (name, key, cls) in enumerate((
-            ("power_dbm", "make_config.power_dbm", "nan"),
-            ("noise_dbm", "make_config.noise_dbm", "inf"),
-            ("carrier_freq_ghz", "make_config.carrier_freq_ghz", "nan"),
-            ("cell_radius_m", "ScenarioConfig.cell_radius_m", "inf"),
-            ("n_antennas", "ScenarioConfig.n_antennas", "fraction"),
-            ("n_users", "ScenarioConfig.n_users", "float"),
-            ("n_selected_beams", "ScenarioConfig.n_selected_beams", "fraction"),
-            ("n_nlos_paths", "ScenarioConfig.n_nlos_paths", "fraction"),
-            ("rng_seed", "ScenarioConfig.rng_seed", "fraction"),
-            (r"uc_per_ris\[1\]", "ScenarioConfig.uc_per_ris", "float"),
-            ("power_dbm", "make_config.power_dbm", "too large"),
-            ("noise_dbm", "make_config.noise_dbm", "too large"),
-            ("power_dbm", "make_config.power_dbm", "numpy too large"),
-            ("noise_dbm", "make_config.noise_dbm", "too small"),
-            ("power_dbm", "make_config.power_dbm", "too small"),
-            ("noise_dbm", "make_config.noise_dbm", "numpy too small")))},
-}
-
-
-def earlier(name):
-    """The test ``name`` of ``EARLIER`` (``Class.test`` in a class)."""
-    cells = EARLIER[name]
-    if isinstance(cells, list):
-        def test():
-            for key, cls in cells:
-                reject(key, cls)
-    else:
-        @pytest.mark.parametrize("key, cls", list(cells.values()), ids=list(cells))
-        def test(key, cls):
-            reject(key, cls)
-    return staticmethod(test)  # no self in a class
-
-
-CLAIMED = {cell for cells in EARLIER.values()
-           for cell in (cells if isinstance(cells, list) else cells.values())}
-CELLS = [(key, cls) for key, cells in TABLE.items() for cls in cells
-         if (key, cls) not in CLAIMED]
-
-
-@pytest.mark.parametrize("key, cls", CELLS, ids=[f"{k}-{c}" for k, c in CELLS])
-def test_bad_input_is_rejected_by_name(key, cls):
-    reject(key, cls)

@@ -13,7 +13,6 @@ from beamswarm.channel import (
     to_beamspace,
 )
 from beamswarm.scenario import derive_stream, draw_angles, make_config, place_nodes
-from test_boundary import earlier
 
 
 class TestSteering:
@@ -151,11 +150,6 @@ class TestDftMatrix:
 
 
 class TestChannelSet:
-    # bad blocks are cells of tests/test_boundary.py's table
-    test_shape_validation = earlier("TestChannelSet.test_shape_validation")
-    test_rejects_non_finite_entries = earlier(
-        "TestChannelSet.test_rejects_non_finite_entries")
-
     def test_immutable_and_properties(self):
         cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=6,
                           n_selected_beams=4)

@@ -20,7 +20,6 @@ from beamswarm.harness import (
 from beamswarm.channel import realize_channels
 from beamswarm.pso import PsoConfig, optimize
 from beamswarm.scenario import derive_seed, derive_stream, make_config
-from test_boundary import earlier
 
 
 def _blas_threads(_):
@@ -65,10 +64,6 @@ class TestExperimentSpec:
     def test_rejects_m_total_below_surface_count(self):
         with pytest.raises(ValueError, match="infeasible sweep value m_total=1"):
             _spec(sweep_param="m_total", sweep_values=(1,))
-
-    # bad settings are cells of tests/test_boundary.py's table
-    test_rejects_non_integral_counts = earlier(
-        "TestExperimentSpec.test_rejects_non_integral_counts")
 
     def test_values_are_tuplized(self):
         spec = _spec(sweep_values=[2, 4])
@@ -207,13 +202,6 @@ class TestRunSweep:
         result = run_sweep(_spec(n_trials=1))
         assert result.rates.shape == (2, 1)
         assert np.all(result.stderrs == 0.0)
-
-
-# the cases of these three tests are cells of tests/test_boundary.py's table
-test_booleans_are_not_sizes = earlier("test_booleans_are_not_sizes")
-test_integer_bounds_name_the_field = earlier("test_integer_bounds_name_the_field")
-test_non_integral_indices_are_rejected_not_truncated = earlier(
-    "test_non_integral_indices_are_rejected_not_truncated")
 
 
 def _toy_result():

@@ -23,7 +23,6 @@ from beamswarm.pso import (
     update_velocity_and_position,
 )
 from beamswarm.scenario import derive_stream, make_config
-from test_boundary import earlier
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,10 +86,6 @@ class TestPsoConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="ring"):
             PsoConfig(n_particles=2)
-
-    # bad settings are cells of tests/test_boundary.py's table
-    test_rejects_non_integral_and_non_finite = earlier(
-        "TestPsoConfig.test_rejects_non_integral_and_non_finite")
 
 
 class TestProjections:

@@ -17,7 +17,6 @@ from beamswarm.scenario import (
     spatial_frequency,
     watts_to_dbm,
 )
-from test_boundary import earlier
 
 
 def test_dbm_conversions():
@@ -85,9 +84,6 @@ class TestScenarioConfig:
         with pytest.raises(TypeError, match="n_ris"):
             ScenarioConfig(n_ris=4)  # derived, not settable
 
-    # bad settings are cells of tests/test_boundary.py's table
-    test_empty_layout_rejected = earlier("TestScenarioConfig.test_empty_layout_rejected")
-
     def test_surface_count_must_match_layout(self):
         with pytest.raises(
             ValueError,
@@ -104,9 +100,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="ue_ring"):
             make_config(ue_ring_max_m=45.0)  # outside the cell
         make_config(ue_ring_min_m=30.0, ue_ring_max_m=30.0)  # degenerate ring
-
-    test_rejects_non_integral_and_non_finite = earlier(
-        "TestScenarioConfig.test_rejects_non_integral_and_non_finite")
 
 
 class TestPlaceNodes:
@@ -277,7 +270,7 @@ class TestAngles:
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937,
                                       np.random.Philox, np.random.SFC64])
     def test_stream_moves_as_when_user_arrivals_were_drawn(self, bits):
-        # the draws of an earlier version, which also drew a (J, K, N_p+1)
+        # the draws of a previous version, which also drew a (J, K, N_p+1)
         # block of user arrival angles on U(-pi, pi) last
         cfg = make_config(n_users=3, n_selected_beams=8, n_ris=2, m_total=8)
         rng, twin = np.random.Generator(bits(5)), np.random.Generator(bits(5))
