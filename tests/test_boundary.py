@@ -274,14 +274,29 @@ TABLE = {
 CELLS = [(key, cls) for key, cells in TABLE.items() for cls in cells]
 
 
-@pytest.mark.parametrize("key, cls", CELLS, ids=[f"{k}-{c}" for k, c in CELLS])
-def test_bad_input_is_rejected_by_name(key, cls):
-    """Cell (row ``key``, class ``cls``) raises a ValueError with its
-    message, and no warning."""
+def rejects(key, value, message):
+    """Row ``key``'s argument set to ``value`` raises a ValueError with
+    ``message``, and no warning."""
     entry, arg = key.rsplit(".", 1)
-    value, message = TABLE[key][cls]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as caught:
             ENTRY[entry](**{arg: value})
     assert str(caught.value) == message.replace("{}", arg)
+
+
+def rejects_as_numpy(key, cls):
+    """Cell (``key``, ``cls``) with numpy scalars for its Python ones, as
+    read out of an array, is rejected alike; a type message shows them."""
+    value, message = TABLE[key][cls]
+    scalars = value if isinstance(value, tuple) else (value,)
+    numpy = tuple(np.asarray(v)[()] for v in scalars)
+    if cls != "below":  # a bound message shows the value as a Python int
+        for v, n in zip(scalars, numpy):
+            message = message.replace(f"(got {v!r})", f"(got {n!r})")
+    rejects(key, numpy if isinstance(value, tuple) else numpy[0], message)
+
+
+@pytest.mark.parametrize("key, cls", CELLS, ids=[f"{k}-{c}" for k, c in CELLS])
+def test_bad_input_is_rejected_by_name(key, cls):
+    rejects(key, *TABLE[key][cls])

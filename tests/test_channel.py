@@ -13,6 +13,7 @@ from beamswarm.channel import (
     to_beamspace,
 )
 from beamswarm.scenario import derive_stream, draw_angles, make_config, place_nodes
+from test_boundary import NOT_FINITE, C, G, rejects
 
 
 class TestSteering:
@@ -150,6 +151,15 @@ class TestDftMatrix:
 
 
 class TestChannelSet:
+    @pytest.mark.parametrize("block, bad", [
+        (block, bad) for bad in (np.nan, np.inf) for block in ("bs_ris[0]", "ris_ue[1]")])
+    def test_rejects_non_finite_entries(self, block, bad):
+        """A non-finite imaginary part is caught, as the table's real ones are."""
+        poked = (C if block == "bs_ris[0]" else G).copy()
+        poked[-1, -1] = complex(1.0, bad)
+        value = (poked, C) if block == "bs_ris[0]" else (G, poked)
+        rejects(f"ChannelSet.{block[:-3]}", value, NOT_FINITE.format(block))
+
     def test_immutable_and_properties(self):
         cfg = make_config(n_antennas=8, n_users=2, n_ris=2, m_total=6,
                           n_selected_beams=4)

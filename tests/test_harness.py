@@ -20,6 +20,7 @@ from beamswarm.harness import (
 from beamswarm.channel import realize_channels
 from beamswarm.pso import PsoConfig, optimize
 from beamswarm.scenario import derive_seed, derive_stream, make_config
+from test_boundary import ENTRY, TABLE, rejects_as_numpy
 
 
 def _blas_threads(_):
@@ -64,6 +65,15 @@ class TestExperimentSpec:
     def test_rejects_m_total_below_surface_count(self):
         with pytest.raises(ValueError, match="infeasible sweep value m_total=1"):
             _spec(sweep_param="m_total", sweep_values=(1,))
+
+    @pytest.mark.parametrize("key, cls", [
+        ("ExperimentSpec.n_trials", "fraction"), ("ExperimentSpec.n_trials", "float"),
+        ("ExperimentSpec.sweep_values", "fraction"), ("ExperimentSpec.sweep_values", "float"),
+        ("ExperimentSpec.sweep_values", "str")], ids=[
+        "overrides0-n_trials", "overrides1-n_trials", r"overrides2-sweep_values\[0\]",
+        r"overrides3-sweep_values\[1\]", r"overrides4-sweep_values\[0\]"])
+    def test_rejects_non_integral_counts(self, key, cls):
+        rejects_as_numpy(key, cls)  # sweep values read out of an array
 
     def test_values_are_tuplized(self):
         spec = _spec(sweep_values=[2, 4])
@@ -202,6 +212,59 @@ class TestRunSweep:
         result = run_sweep(_spec(n_trials=1))
         assert result.rates.shape == (2, 1)
         assert np.all(result.stderrs == 0.0)
+
+
+# numpy scalars, such as entries read out of an array, meet the checks that
+# tests/test_boundary.py's table puts to Python values
+SIZES = ("ExperimentSpec.n_trials", "PsoConfig.n_iterations", "ScenarioConfig.n_antennas",
+         "ScenarioConfig.n_nlos_paths", "ScenarioConfig.n_users", "ScenarioConfig.rng_seed",
+         "ScenarioConfig.uc_per_ris", "run_trial.trial_index")
+BOOLS = {**{key: key for key in SIZES + (
+    "ExperimentSpec.sweep_values", "PsoConfig.n_particles",
+    "ScenarioConfig.n_selected_beams", "make_config.m_total")},
+    "ScenarioConfig.n_ris": "make_config.n_ris", "jobs": "run_sweep.jobs"}
+NON_INTEGRAL = {
+    "trial_index_float": ("run_trial.trial_index", "float"),
+    "trial_index_str": ("run_trial.trial_index", "str"),
+    "derive_stream_float": ("derive_stream.seed", "fraction"),
+    "derive_seed_float_key": ("derive_seed.key", "fraction"),
+    "derive_seed_bool_seed": ("derive_seed.seed", "bool"),
+    "derive_stream_bool_key": ("derive_stream.key", "bool"),
+    **{f"{entry}_negative_{arg}": (f"{entry}.{arg}", "below")
+       for entry in ("derive_stream", "derive_seed") for arg in ("seed", "key")},
+    "m_total_float": ("make_config.m_total", "fraction"),
+    "m_total_nan": ("make_config.m_total", "nan"),
+    "m_total_str": ("make_config.m_total", "str"),
+    "n_ris_float": ("make_config.n_ris", "float"),
+    "dft_matrix_float": ("dft_matrix.n", "fraction"),
+    "steering_float": ("steering.n_elements", "float")}
+
+
+@pytest.mark.parametrize("key", BOOLS.values(), ids=BOOLS)
+def test_booleans_are_not_sizes(key):
+    rejects_as_numpy(key, "bool")
+
+
+@pytest.mark.parametrize("key, cls", NON_INTEGRAL.values(), ids=NON_INTEGRAL)
+def test_non_integral_indices_are_rejected_not_truncated(key, cls):
+    rejects_as_numpy(key, cls)
+
+
+BOUNDS = {**{key: key for key in SIZES + (
+    "dft_matrix.n", "make_config.n_ris", "steering.n_elements")},
+    "make_config.n_ris_with_uc_per_ris": "make_config(uc_per_ris=(16,)).n_ris",
+    "jobs": "run_sweep.jobs"}
+
+
+@pytest.mark.parametrize("key", BOUNDS.values(), ids=BOUNDS)
+def test_integer_bounds_name_the_field(key):
+    """The table rejects one below the bound its message names; the bound
+    itself passes."""
+    entry, arg = key.rsplit(".", 1)
+    below = TABLE[key]["below"][0]
+    bound = below[:-1] + (below[-1] + 1,) if isinstance(below, tuple) else below + 1
+    fits = {"n_users": 1, "n_selected_beams": 1} if arg == "n_antennas" else {}
+    ENTRY[entry](**{arg: bound}, **fits)
 
 
 def _toy_result():

@@ -18,6 +18,7 @@ from beamswarm.linkrate import (
 )
 from beamswarm.pso import Solution
 from beamswarm.scenario import derive_stream, make_config
+from test_boundary import NOT_FINITE, rejects
 
 
 # Independent oracle: explicit per-user matched-filter precoders, one
@@ -228,6 +229,13 @@ class TestBoundary:
     def test_rejects_overflowing_sinr(self):
         with pytest.raises(ValueError, match="powers and sigma2"):
             sum_rate(np.array([[1e-6 + 0j], [0j]]), [0], [1e27], 1e-303)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_channel(self, bad):
+        """A non-finite imaginary part is caught, as the table's real ones are."""
+        h_beam = np.ones((4, 2), complex)
+        h_beam[-1, -1] = complex(1.0, bad)
+        rejects("sum_rate.h_beam", h_beam, NOT_FINITE)
 
 
 class TestSumRate:

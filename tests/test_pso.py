@@ -23,6 +23,7 @@ from beamswarm.pso import (
     update_velocity_and_position,
 )
 from beamswarm.scenario import derive_stream, make_config
+from test_boundary import rejects_as_numpy
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,6 +87,15 @@ class TestPsoConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="ring"):
             PsoConfig(n_particles=2)
+
+    @pytest.mark.parametrize("key, cls", [
+        ("PsoConfig.n_particles", "fraction"), ("PsoConfig.n_iterations", "float"),
+        ("PsoConfig.inertia", "nan"), ("PsoConfig.learn_global", "inf"),
+        ("PsoConfig.learn_local", "nan")], ids=[
+        "n_particles-50.5", "n_iterations-10.0", "inertia-nan", "learn_global-inf",
+        "learn_local-nan"])
+    def test_rejects_non_integral_and_non_finite(self, key, cls):
+        rejects_as_numpy(key, cls)  # settings read out of an array
 
 
 class TestProjections:
