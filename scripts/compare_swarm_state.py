@@ -4,7 +4,7 @@
 
 OTHER_TREE is a checkout of the program (for example a ``git archive`` of
 the parent commit) with the same package layout under ``src/``. The script
-runs the same 8 configurations x 4 trials of ``optimize`` against each
+runs the same 9 configurations x 4 trials of ``optimize`` against each
 tree's ``src/``, one subprocess per tree, one after the other on this
 machine. For each configuration it prints whether the optimizer's
 solutions, the ``population``, ``velocity`` and ``personal_best`` after
@@ -35,6 +35,8 @@ CONFIGS = (
      {"n_particles": 20, "n_iterations": 40}),
     ("k16_ns16_t50_seed7", {"n_users": 16, "n_selected_beams": 16, "rng_seed": 7},
      {"n_iterations": 50}),
+    # one path per link makes every surface's channel rank 1
+    ("los_n32_t60", {"n_nlos_paths": 0, "n_antennas": 32}, {"n_iterations": 60}),
 )
 N_TRIALS = 4
 RATE_TOLERANCE = 1e-12  # largest relative difference that counts as rounding

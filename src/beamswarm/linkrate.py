@@ -80,16 +80,10 @@ class RateReport:
 
 
 def _sorted_beam_sets(name, beam_sets):
-    """Sort checked (N_s, A) beam sets, one per column, down axis 0, and
-    reject empty sets (N_s = 0) and a set that repeats an index.
-
-    Sets that are sorted already come back as they are, not copied.
-    """
+    """Checked (N_s, A) beam sets, one per column, as a copy sorted down
+    axis 0; rejects empty sets (N_s = 0) and a set that repeats an index."""
     if not len(beam_sets):
         raise ValueError(f"{name} must hold at least one beam index")
-    # strictly increasing columns are sorted and unique as they are
-    if (beam_sets[1:] > beam_sets[:-1]).all():
-        return beam_sets
     ordered = np.sort(beam_sets, axis=0)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError(f"{name} must be unique within each beam set")
@@ -145,8 +139,6 @@ def sum_rate(h_beam, selected, powers, sigma2):
     h_beam = _checked_array("h_beam", h_beam, ("N", "K"), "numbers")
     n, k = h_beam.shape
     powers = _checked_array("powers", powers, (k,), low=0.0)
-    if not np.size(selected):  # [] would make floats
-        selected = np.empty(0, np.intp)
     idx = _checked_array("selected", selected, ("N_s",), "integers", high=n - 1)
     idx = _sorted_beam_sets("selected", idx[:, None])[:, 0]
     sinr = _mrt_sinrs(h_beam[idx].T[None], powers[None], sigma2,

@@ -1,11 +1,13 @@
 """Ring-topology particle swarm over beam scores, powers and phase shifts.
 
 A particle is one column of the population matrix, laid out as N beam
-scores, then K power entries, then M phase shifts (N_v = N + K + M rows).
-After every move the three projection operators repair the blocks, so the
-swarm only ever scores feasible candidates. Of the best-so-far state only
-the personal bests are stored: the global best is an index into them, and a
-particle's local best is its better ring neighbor's (indices wrap, no self).
+scores, then K power entries, then M phase shifts (N_v = N + K + M rows);
+``_blocks`` alone splits a column or the population into these blocks.
+After every move the three projection operators repair their blocks, so
+the swarm only ever scores feasible candidates. Of the best-so-far state
+only the personal bests are stored: the global best is an index into them,
+and a particle's local best is its better ring neighbor's (indices wrap, no
+self).
 """
 
 from __future__ import annotations
@@ -67,45 +69,51 @@ class Swarm:
     draw_buffers: np.ndarray  # (2, N_v, A): the velocity step's draw and gap
 
 
-def project_beams(column, n_antennas, rng):
-    """Map the beam block to [0, 1] with max exactly 1, in place.
+def _blocks(f, n_antennas, n_users):
+    """The beam, power and phase rows of a column or a population ``f``,
+    as views: N beam scores, then K powers, then the M phases."""
+    powers_end = n_antennas + n_users
+    return f[:n_antennas], f[n_antennas:powers_end], f[powers_end:]
 
-    Works on a single column or a matrix of columns. An all-zero block is
+
+def project_beams(block, rng):
+    """Map a beam block to [0, 1] with max exactly 1, in place.
+
+    Works on one column's block or a population's. An all-zero column is
     restarted uniformly at random from ``rng`` before normalizing.
     """
-    block = column[:n_antennas].reshape(n_antennas, -1)  # a column is (N, 1)
-    np.abs(block, out=block)
-    peak = block.max(axis=0, keepdims=True)
+    scores = block.reshape(len(block), -1)  # a column's block is (N, 1)
+    np.abs(scores, out=scores)
+    peak = scores.max(axis=0, keepdims=True)
     if not peak.all():  # some column of the block is all zero
         dead = np.flatnonzero(peak[0] == 0.0)
-        block[:, dead] = rng.random((n_antennas, dead.size))
-        peak = block.max(axis=0, keepdims=True)
-    block /= peak
-    return column
+        scores[:, dead] = rng.random((len(scores), dead.size))
+        peak = scores.max(axis=0, keepdims=True)
+    scores /= peak
+    return block
 
 
-def project_powers(column, n_antennas, n_users, total_power):
-    """Rescale the power block to nonnegative values summing to the budget.
+def project_powers(block, total_power):
+    """Rescale a power block to nonnegative values summing to the budget.
 
-    In place, single column or matrix. An all-zero block falls back to the
-    equal split total_power / n_users.
+    In place, one column's block or a population's. An all-zero column
+    falls back to the equal split total_power / K.
     """
-    block = column[n_antennas : n_antennas + n_users].reshape(n_users, -1)
-    np.abs(block, out=block)
-    total = block.sum(axis=0, keepdims=True)
+    powers = block.reshape(len(block), -1)
+    np.abs(powers, out=powers)
+    total = powers.sum(axis=0, keepdims=True)
     if not total.all():
-        block[:, total[0] == 0.0] = 1.0
-        total = block.sum(axis=0, keepdims=True)
-    block *= total_power / total
-    return column
+        powers[:, total[0] == 0.0] = 1.0
+        total = powers.sum(axis=0, keepdims=True)
+    powers *= total_power / total
+    return block
 
 
-def project_phases(column, n_antennas, n_users):
-    """Wrap the phase block into [0, 2*pi) by modular reduction, in place.
+def project_phases(block):
+    """Wrap a phase block into [0, 2*pi) by modular reduction, in place.
 
     The same bits as ``np.mod(block, 2*pi)``, -0.0 to +0.0 included.
     """
-    block = column[n_antennas + n_users :]
     # fmod only where one period is not enough; most of a run's phases are
     # already in [0, 2*pi) and a few percent lie past [-2*pi, 4*pi). take
     # and put index the block as flattened and write into any strided view.
@@ -117,14 +125,15 @@ def project_phases(column, n_antennas, n_users):
     # so it equals fmod; below 0 it is np.mod's own rounded x + 2*pi.
     step = (block < 0.0).view(np.int8) - (block >= _TWO_PI).view(np.int8)
     block += step * _TWO_PI
-    return column
+    return block
 
 
 def constraints_check(column, n_antennas, n_users, total_power, rng):
     """Apply all three projections to a column or a matrix of columns."""
-    project_beams(column, n_antennas, rng)
-    project_powers(column, n_antennas, n_users, total_power)
-    project_phases(column, n_antennas, n_users)
+    beams, powers, phases = _blocks(column, n_antennas, n_users)
+    project_beams(beams, rng)
+    project_powers(powers, total_power)
+    project_phases(phases)
     return column
 
 
@@ -132,22 +141,22 @@ def init_swarm(scenario, pso_cfg, rng):
     """Random population (zeros for velocity), projected once, unevaluated."""
     _require_rng(rng)
     n, k, m = scenario.n_antennas, scenario.n_users, scenario.total_uc
-    n_vars = n + k + m
-    a = pso_cfg.n_particles
-    f = np.empty((n_vars, a))
-    f[:n] = rng.random((n, a))
-    f[n : n + k] = 1.0 - rng.random((k, a))  # (0, 1], no all-zero block
-    f[n + k :] = _TWO_PI * rng.random((m, a))
+    shape = (sum((n, k, m)), pso_cfg.n_particles)  # N_v = N + K + M rows
+    f = np.empty(shape)
+    beams, powers, phases = _blocks(f, n, k)
+    beams[...] = rng.random(beams.shape)
+    powers[...] = 1.0 - rng.random(powers.shape)  # (0, 1], no all-zero block
+    phases[...] = _TWO_PI * rng.random(phases.shape)
     constraints_check(f, n, k, scenario.total_power, rng)
     return Swarm(
         population=f,
-        velocity=np.zeros((n_vars, a)),
-        quality=np.full(a, -np.inf),
-        personal_best=np.zeros((n_vars, a)),
-        personal_best_value=np.full(a, -np.inf),
+        velocity=np.zeros(shape),
+        quality=np.full(shape[1], -np.inf),
+        personal_best=np.zeros(shape),
+        personal_best_value=np.full(shape[1], -np.inf),
         global_best_value=-np.inf,
         global_best_index=0,
-        draw_buffers=np.empty((2, n_vars, a)),
+        draw_buffers=np.empty((2,) + shape),
     )
 
 
@@ -201,11 +210,11 @@ def _top_beams(scores, n_selected):
 
 def decode(column, scenario):
     """Split one projected column into its Solution."""
-    n, k = scenario.n_antennas, scenario.n_users
+    beams, powers, phases = _blocks(column, scenario.n_antennas, scenario.n_users)
     return Solution(
-        beam_set=top_beam_indices(column[:n], scenario.n_selected_beams),
-        powers=column[n : n + k].copy(),
-        phases=column[n + k :].copy(),
+        beam_set=top_beam_indices(beams, scenario.n_selected_beams),
+        powers=powers.copy(),
+        phases=phases.copy(),
     )
 
 
@@ -300,11 +309,11 @@ def optimize(channels, scenario, cfg, rng, callback=None):
                     f"with inertia={cfg.inertia}, learn_global={cfg.learn_global} "
                     f"and learn_local={cfg.learn_local}"
                 ) from None
-        f = swarm.population
+        beams, powers, phases = _blocks(swarm.population, n, k)
         # the projections keep phases in [0, 2*pi) and powers >= 0, and the
         # move's errstate raises before a non-finite entry reaches them
-        idx = _top_beams(f[:n], n_sel)
-        swarm.quality = evaluator._score(f[n + k :], idx, f[n : n + k], sigma2)
+        idx = _top_beams(beams, n_sel)
+        swarm.quality = evaluator._score(phases, idx, powers, sigma2)
         update_bests(swarm)
         if not math.isfinite(swarm.global_best_value):
             raise ValueError(

@@ -192,7 +192,8 @@ TABLE = {
     "sum_rate.h_beam": {
         "nan": (poked((4, 2), NAN), NOT_FINITE), "inf": (poked((4, 2), INF), NOT_FINITE),
         "ndim": (np.ones(4), "{} must have shape (N, K) (got (4,))"),
-        "str": (np.array([["a"]]), "{} must hold numbers (got dtype <U1)")},
+        "str": (np.array([["a"]]), "{} must hold numbers (got dtype <U1)"),
+        "bool": (np.ones((4, 2), bool), "{} must hold numbers (got dtype bool)")},
     "sum_rate.selected": {  # N=4
         "duplicate": ((0, 0, 1), "selected must be unique within each beam set"),
         "below": ((-1, 0, 1), "selected must lie in [0, 3] (got entries from -1 to 1)"),
@@ -200,7 +201,8 @@ TABLE = {
         "float": ((0.0, 1.5), "selected must hold integers (got dtype float64)"),
         "empty": ([], "selected must hold at least one beam index"),
         "ndim": ([[0, 1]], "selected must have shape (N_s,) (got (1, 2))"),
-        "str": (("0", "1"), "selected must hold integers (got dtype <U1)")},
+        "str": (("0", "1"), "selected must hold integers (got dtype <U1)"),
+        "ragged": ((0, (1,)), "{} must have shape (N_s,) (got a ragged sequence)")},
     "sum_rate.powers": {
         "below": ((1.0, -0.5), POWER_RANGE(-0.5, 1.0)),
         "nan": ((1.0, NAN), POWER_RANGE(NAN, NAN)),
@@ -210,7 +212,9 @@ TABLE = {
                            "{} must hold real numbers (got dtype complex128)"),
         "shape": (np.ones(3), "{} must have shape (2,) (got (3,))"),
         "str": (("1", "1"), "{} must hold real numbers (got dtype <U1)"),
-        "None": (None, "{} must hold real numbers (got dtype object)")},
+        "None": (None, "{} must hold real numbers (got dtype object)"),
+        "bool": ((True, True), "{} must hold real numbers (got dtype bool)"),
+        "ragged": ((1.0, (1.0,)), "{} must have shape (2,) (got a ragged sequence)")},
     "sum_rate.sigma2": real(0.0, strict=True),
     "sum_rates.phases": {
         "ndim": (PHASES[:, 0], "{} must have shape (10, A) (got (10,))"),
@@ -219,7 +223,8 @@ TABLE = {
         "too large": (poked((10, 5), -2.0**20 - 2.0**-32, float),
                       PHASE_RANGE(-2.0**20 - 2.0**-32, 1.0)),
         "complex": (PHASES + 1j, "{} must hold real numbers (got dtype complex128)"),
-        "str": (np.full((10, 5), "0"), "{} must hold real numbers (got dtype <U1)")},
+        "str": (np.full((10, 5), "0"), "{} must hold real numbers (got dtype <U1)"),
+        "bool": (PHASES == 0.0, "{} must hold real numbers (got dtype bool)")},
     "sum_rates.beam_sets": {
         "float": (BEAMS.astype(float), "{} must hold integers (got dtype float64)"),
         "columns": (BEAMS[:, 1:], "{} must have shape (N_s, 5) (got (4, 4))"),

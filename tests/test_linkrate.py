@@ -505,9 +505,7 @@ def test_factored_evaluator_matches_evaluate_solution(case):
         assert got[a] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_sorted_beam_sets_skip_the_sort_only_for_increasing_columns():
-    ordered = np.array([[0, 2], [3, 5], [7, 6]])
-    assert _sorted_beam_sets("beam_sets", ordered) is ordered  # checked, not copied
+def test_sorted_beam_sets_sort_a_copy_and_reject_repeats():
     unsorted = np.array([[3, 2], [0, 5], [7, 6]])
     got = _sorted_beam_sets("beam_sets", unsorted)
     assert np.array_equal(got, np.sort(unsorted, axis=0))

@@ -32,10 +32,8 @@ TWO_PI = 2.0 * np.pi
 # that give the same bits.
 
 
-def mod_phases(column, n_antennas, n_users):
-    block = column[n_antennas + n_users :]
-    np.mod(block, TWO_PI, out=block)
-    return column
+def mod_phases(block):
+    return np.mod(block, TWO_PI, out=block)
 
 
 def argsort_top(scores, n_selected):
@@ -101,81 +99,82 @@ class TestPsoConfig:
 class TestProjections:
     def test_beams_normalize_by_max_magnitude(self):
         col = np.array([0.2, -0.8, 0.4])
-        project_beams(col, 3, np.random.default_rng(0))
+        project_beams(col, np.random.default_rng(0))
         assert col == pytest.approx([0.25, 1.0, 0.5])
         assert col.max() == 1.0
 
     def test_beams_single_entry(self):
         col = np.array([5.0])
-        project_beams(col, 1, np.random.default_rng(0))
+        project_beams(col, np.random.default_rng(0))
         assert col == pytest.approx([1.0])
 
     def test_beams_idempotent(self):
         rng = np.random.default_rng(0)
         col = rng.normal(size=6)
-        once = project_beams(col.copy(), 6, rng)
-        twice = project_beams(once.copy(), 6, rng)
+        once = project_beams(col.copy(), rng)
+        twice = project_beams(once.copy(), rng)
         assert np.array_equal(once, twice)
 
     def test_beams_zero_block_restart(self):
         rng = np.random.default_rng(1)
         col = np.zeros(4)
-        project_beams(col, 4, rng)
+        project_beams(col, rng)
         assert np.all(col >= 0.0) and np.all(col <= 1.0)
         assert col.max() == 1.0
 
     def test_column_restart_draws_like_a_one_column_matrix(self):
         col = np.zeros(4)
         mat = np.zeros((4, 1))
-        project_beams(col, 4, np.random.default_rng(7))
-        project_beams(mat, 4, np.random.default_rng(7))
+        project_beams(col, np.random.default_rng(7))
+        project_beams(mat, np.random.default_rng(7))
         assert np.array_equal(col, mat[:, 0])
 
     def test_beams_matrix_with_partial_dead_columns(self):
         rng = np.random.default_rng(2)
         f = np.array([[0.5, 0.0], [-1.0, 0.0]])
-        project_beams(f, 2, rng)
+        project_beams(f, rng)
         assert f[:, 0] == pytest.approx([0.5, 1.0])
         assert f[:, 1].max() == 1.0 and np.all(f[:, 1] >= 0.0)
 
     def test_powers_proportional_split(self):
         col = np.array([1.0, 1.0, 2.0])
-        project_powers(col, 0, 3, 10.0)
+        project_powers(col, 10.0)
         assert col == pytest.approx([2.5, 2.5, 5.0])
 
     def test_powers_absolute_value_then_budget(self):
         col = np.array([-3.0])
-        project_powers(col, 0, 1, 7.5)
+        project_powers(col, 7.5)
         assert col == pytest.approx([7.5])
 
     def test_powers_idempotent(self):
         rng = np.random.default_rng(3)
         col = rng.normal(size=5)
-        once = project_powers(col.copy(), 0, 5, 10.0)
-        twice = project_powers(once.copy(), 0, 5, 10.0)
+        once = project_powers(col.copy(), 10.0)
+        twice = project_powers(once.copy(), 10.0)
         assert twice == pytest.approx(once, rel=1e-12)
 
     def test_powers_zero_block_equal_split(self):
         col = np.zeros(4)
-        project_powers(col, 0, 4, 10.0)
+        project_powers(col, 10.0)
         assert col == pytest.approx(np.full(4, 2.5))
 
     def test_phases_wraps(self):
         col = np.array([-0.5, 7.0, -13.0, 0.0, TWO_PI - 1e-12])
-        project_phases(col, 0, 0)
+        project_phases(col)
         assert col[0] == pytest.approx(TWO_PI - 0.5, rel=1e-12)
         assert col[1] == pytest.approx(7.0 - TWO_PI, rel=1e-9)
         assert col[2] == pytest.approx(np.mod(-13.0, TWO_PI), rel=1e-12)
         assert np.all(col >= 0.0) and np.all(col < TWO_PI)
 
     def test_blocks_do_not_leak(self):
-        # one full column: 2 beams, 2 powers, 2 phases
+        # one full column: 2 beams, 2 powers, 2 phases, projected and decoded
+        cfg = make_config(n_antennas=2, n_users=2, uc_per_ris=(2,), n_selected_beams=2)
         col = np.array([0.5, -2.0, 1.0, 3.0, -1.0, 9.0])
         constraints_check(col, 2, 2, 8.0, np.random.default_rng(0))
-        assert col[:2] == pytest.approx([0.25, 1.0])
-        assert col[2:4] == pytest.approx([2.0, 6.0])
-        assert col[4] == pytest.approx(TWO_PI - 1.0)
-        assert col[5] == pytest.approx(9.0 - TWO_PI)
+        assert col == pytest.approx([0.25, 1.0, 2.0, 6.0, TWO_PI - 1.0, 9.0 - TWO_PI])
+        sol = decode(col, cfg)
+        assert (sol.beam_set.tolist(), sol.powers.tolist(), sol.phases.tolist()) == (
+            [0, 1], col[2:4].tolist(), col[4:].tolist())
 
 
 class TestInitSwarm:
@@ -282,8 +281,6 @@ class TestTopBeamsAndDecode:
         assert sol.phases == pytest.approx([1.0, 2.0, 3.0, 4.0])
         blocks = split_phases(sol.phases, cfg.uc_per_ris)
         assert [list(b) for b in blocks] == [[1.0, 2.0], [3.0, 4.0]]
-        # the decoded pieces reassemble the tail of the encoded column
-        assert np.concatenate([sol.powers, sol.phases]) == pytest.approx(column[4:])
 
     def test_decode_tie(self):
         cfg = make_config(n_antennas=3, n_users=1, n_ris=1, m_total=2,
@@ -580,16 +577,16 @@ class TestAgainstReplacedFormulas:
                 if a is not None:
                     blocks.append(np.asfortranarray(block))
                 for block in blocks:
-                    want = mod_phases(block.copy(), 0, 0)
-                    got = project_phases(block, 0, 0)
+                    want = mod_phases(block.copy())
+                    got = project_phases(block)
                     assert got is block  # in place
                     assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ
                     assert not np.signbit(got).any()
             # a strided column of a matrix, wrapped in place and alone
             f = np.full((values.size, 5), -1.0)
             f[:, 3] = values
-            project_phases(f[:, 3], 0, 0)
-            assert f[:, 3].tobytes() == mod_phases(values.copy(), 0, 0).tobytes()
+            project_phases(f[:, 3])
+            assert f[:, 3].tobytes() == mod_phases(values.copy()).tobytes()
             assert (np.delete(f, 3, axis=1) == -1.0).all()
 
     @pytest.mark.parametrize("n_selected", [1, 8, 16, 64])
