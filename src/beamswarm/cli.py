@@ -150,10 +150,10 @@ def _cmd_sweep(args):
     spec = _make_spec(args)
     result = run_sweep(spec, jobs=args.jobs)
     detail, summary = emit_csv(result, args.out or "sweep.csv")
-    for i, value in enumerate(result.sweep_values):
+    for value, mean, stderr in zip(result.sweep_values, result.means, result.stderrs):
         print(
-            f"{spec.sweep_param}={value} mean_bps_hz={result.means[i]:.9g} "
-            f"stderr={result.stderrs[i]:.9g} n_trials={result.n_trials}"
+            f"{spec.sweep_param}={value} mean_bps_hz={mean:.9g} "
+            f"stderr={stderr:.9g} n_trials={result.n_trials}"
         )
     print(f"wrote {detail} and {summary}")
     return 0

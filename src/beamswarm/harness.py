@@ -74,16 +74,28 @@ def derive_configs(spec, value):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-trial final sum rates, their per-value mean and standard error,
-    and the per-value mean best-so-far trace."""
+    """Per-trial final sum rates and the per-value mean best-so-far trace; the
+    per-value mean, standard error and trial count are read from ``rates``."""
 
     sweep_param: str
     sweep_values: tuple
     rates: np.ndarray  # (n_values, n_trials)
-    means: np.ndarray
-    stderrs: np.ndarray
     mean_traces: tuple  # one (T_v + 1,) array per sweep value
-    n_trials: int
+
+    @property
+    def n_trials(self):
+        return self.rates.shape[1]
+
+    @property
+    def means(self):
+        return self.rates.mean(axis=1)
+
+    @property
+    def stderrs(self):
+        n = self.n_trials
+        if n > 1:
+            return self.rates.std(axis=1, ddof=1) / np.sqrt(n)
+        return np.zeros(len(self.rates))
 
 
 def run_trial(scenario, pso_cfg, trial_index):
@@ -178,23 +190,11 @@ def run_sweep(spec, jobs=1):
     traces = _run_tasks(_value_tasks(spec), jobs)
     n = spec.n_trials
     rates = np.array([t[-1] for t in traces]).reshape(len(spec.sweep_values), n)
-    if n > 1:
-        stderrs = rates.std(axis=1, ddof=1) / np.sqrt(n)
-    else:
-        stderrs = np.zeros(len(spec.sweep_values))
     mean_traces = tuple(
         np.mean(traces[i * n : (i + 1) * n], axis=0)
         for i in range(len(spec.sweep_values))
     )
-    return SweepResult(
-        sweep_param=spec.sweep_param,
-        sweep_values=spec.sweep_values,
-        rates=rates,
-        means=rates.mean(axis=1),
-        stderrs=stderrs,
-        mean_traces=mean_traces,
-        n_trials=n,
-    )
+    return SweepResult(spec.sweep_param, spec.sweep_values, rates, mean_traces)
 
 
 def iterations_to_fraction(trace):
@@ -238,9 +238,8 @@ def emit_csv(result, path):
         )
     aggregate = ["sweep_value,mean,stderr,n_trials"]
     aggregate.extend(
-        f"{_fmt(value)},{_fmt(result.means[i])},{_fmt(result.stderrs[i])},"
-        f"{result.n_trials}"
-        for i, value in enumerate(result.sweep_values)
+        f"{_fmt(value)},{_fmt(mean)},{_fmt(se)},{result.n_trials}"
+        for value, mean, se in zip(result.sweep_values, result.means, result.stderrs)
     )
     return _write_rows(path, detail), _write_rows(summary_path_for(path), aggregate)
 

@@ -72,11 +72,17 @@ def _unit_phasors(phases, out, scratch, rot):
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user SINRs and rates plus their sum."""
+    """Per-user SINRs; the per-user rates and their sum are read from them."""
 
     per_ue_sinr: np.ndarray
-    per_ue_rate: np.ndarray
-    sum_rate: float
+
+    @property
+    def per_ue_rate(self):
+        return np.log1p(self.per_ue_sinr) / _LN2
+
+    @property
+    def sum_rate(self):
+        return float(self.per_ue_rate.sum())
 
 
 def _sorted_beam_sets(name, beam_sets):
@@ -120,7 +126,7 @@ def _mrt_sinrs(h_sel, p, noise_variance, work):
     received.fill(0.0)
     np.divide(cross_sq, denom, out=received, where=denom > 0.0)
     received *= p[:, None, :]
-    received.reshape(-1, k * k)[:, :: k + 1] = 0.0  # the diagonal, i = k
+    received.reshape(len(received), k * k)[:, :: k + 1] = 0.0  # the diagonal, i = k
     signal = p * energy
     with np.errstate(over="ignore"):  # an inf SINR; sum_rate and optimize reject it
         return signal / (received.sum(axis=2) + noise_variance)
@@ -148,12 +154,7 @@ def sum_rate(h_beam, selected, powers, sigma2):
             f"SINR is not finite (got {sinr.tolist()}): it overflows at these "
             f"powers and sigma2={sigma2}"
         )
-    rates = np.log1p(sinr) / _LN2
-    return RateReport(
-        per_ue_sinr=sinr,
-        per_ue_rate=rates,
-        sum_rate=float(rates.sum()),
-    )
+    return RateReport(per_ue_sinr=sinr)
 
 
 def evaluate_solution(channels, sol, noise_variance):

@@ -5,9 +5,9 @@ scores, then K power entries, then M phase shifts (N_v = N + K + M rows);
 ``_blocks`` alone splits a column or the population into these blocks.
 After every move the three projection operators repair their blocks, so
 the swarm only ever scores feasible candidates. Of the best-so-far state
-only the personal bests are stored: the global best is an index into them,
-and a particle's local best is its better ring neighbor's (indices wrap, no
-self).
+only the personal bests are stored: the global best is an index into them
+that reads its value there, and a particle's local best is its better ring
+neighbor's (indices wrap, no self).
 """
 
 from __future__ import annotations
@@ -64,9 +64,12 @@ class Swarm:
     quality: np.ndarray  # (A,)
     personal_best: np.ndarray  # (N_v, A)
     personal_best_value: np.ndarray  # (A,)
-    global_best_value: float
-    global_best_index: int  # the personal best that holds global_best_value
+    global_best_index: int  # the personal best of the highest value
     draw_buffers: np.ndarray  # (2, N_v, A): the velocity step's draw and gap
+
+    @property
+    def global_best_value(self):
+        return float(self.personal_best_value[self.global_best_index])
 
 
 def _blocks(f, n_antennas, n_users):
@@ -110,9 +113,9 @@ def project_powers(block, total_power):
 
 
 def project_phases(block):
-    """Wrap a phase block into [0, 2*pi) by modular reduction, in place.
+    """Wrap a phase block into [0, 2*pi] by modular reduction, in place.
 
-    The same bits as ``np.mod(block, 2*pi)``, -0.0 to +0.0 included.
+    The same bits as ``np.mod(block, 2*pi)``: -0.0 to +0.0 and -1e-17 to 2*pi.
     """
     # fmod only where one period is not enough; most of a run's phases are
     # already in [0, 2*pi) and a few percent lie past [-2*pi, 4*pi). take
@@ -154,7 +157,6 @@ def init_swarm(scenario, pso_cfg, rng):
         quality=np.full(shape[1], -np.inf),
         personal_best=np.zeros(shape),
         personal_best_value=np.full(shape[1], -np.inf),
-        global_best_value=-np.inf,
         global_best_index=0,
         draw_buffers=np.empty((2,) + shape),
     )
@@ -219,14 +221,15 @@ def decode(column, scenario):
 
 
 def update_bests(swarm):
-    """Refresh the personal bests and the global best's value and index."""
+    """Refresh the personal bests; move the global best's index to the lowest
+    index of the lead if it beats the held best's value before this update."""
     q = swarm.quality
+    held = swarm.global_best_value  # read before the writes below
     improved = q > swarm.personal_best_value
     swarm.personal_best_value[improved] = q[improved]
     swarm.personal_best[:, improved] = swarm.population[:, improved]
     lead = int(swarm.personal_best_value.argmax())
-    if swarm.personal_best_value[lead] > swarm.global_best_value:
-        swarm.global_best_value = float(swarm.personal_best_value[lead])
+    if swarm.personal_best_value[lead] > held:
         swarm.global_best_index = lead
     return swarm
 
@@ -310,20 +313,20 @@ def optimize(channels, scenario, cfg, rng, callback=None):
                     f"and learn_local={cfg.learn_local}"
                 ) from None
         beams, powers, phases = _blocks(swarm.population, n, k)
-        # the projections keep phases in [0, 2*pi) and powers >= 0, and the
+        # the projections keep phases in [0, 2*pi] and powers >= 0, and the
         # move's errstate raises before a non-finite entry reaches them
         idx = _top_beams(beams, n_sel)
         swarm.quality = evaluator._score(phases, idx, powers, sigma2)
         update_bests(swarm)
-        if not math.isfinite(swarm.global_best_value):
+        trace[t] = swarm.global_best_value
+        if not math.isfinite(trace[t]):
             raise ValueError(
-                f"best sum rate is {swarm.global_best_value} at iteration {t}, "
+                f"best sum rate is {trace[t]} at iteration {t}, "
                 "not finite: the SINR overflows or is undefined at these "
                 "power_dbm/noise_dbm levels"
             )
-        trace[t] = swarm.global_best_value
         if callback is not None:
             callback(t, swarm)
     best = decode(swarm.personal_best[:, swarm.global_best_index], scenario)
-    return best, float(swarm.global_best_value), trace
+    return best, swarm.global_best_value, trace
 

@@ -23,7 +23,8 @@ def dbm_to_watts(x_dbm):
 
 
 def watts_to_dbm(x_watts):
-    """Convert a power level in watts to dBm."""
+    """Convert a power level in watts, > 0, to dBm."""
+    _require_real("x_watts", x_watts, 0.0, strict=True)
     return 10.0 * math.log10(x_watts) + 30.0
 
 
@@ -262,14 +263,13 @@ def make_config(power_dbm=40.0, noise_dbm=-110.0, m_total=None, n_ris=None,
 
 @dataclass(frozen=True)
 class NodeLayout:
-    """Positions of the base station, surfaces and users in the plane (meters)."""
+    """Surface and user positions in meters; the base station sits at the origin."""
 
-    bs_position: np.ndarray
     ris_positions: np.ndarray  # (J, 2)
     ue_positions: np.ndarray  # (K, 2)
 
     def bs_ris_distances(self):
-        return np.linalg.norm(self.ris_positions - self.bs_position, axis=1)
+        return np.linalg.norm(self.ris_positions, axis=1)
 
     def ris_ue_distances(self):
         """Pairwise distances, shape (J, K)."""
@@ -295,11 +295,7 @@ def place_nodes(config, rng):
     ue_radius = rng.uniform(config.ue_ring_min_m, config.ue_ring_max_m, config.n_users)
     ue_xy = np.column_stack((ue_radius * np.cos(ue_angle), ue_radius * np.sin(ue_angle)))
 
-    return NodeLayout(
-        bs_position=np.zeros(2),
-        ris_positions=ris_xy,
-        ue_positions=ue_xy,
-    )
+    return NodeLayout(ris_positions=ris_xy, ue_positions=ue_xy)
 
 
 def path_loss_db(distance_m, f_c_ghz, is_los):

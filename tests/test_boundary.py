@@ -23,7 +23,7 @@ from beamswarm.linkrate import SumRateEvaluator, sum_rate
 from beamswarm.pso import PsoConfig, init_swarm, optimize
 from beamswarm.scenario import (ScenarioConfig, derive_seed, derive_stream, draw_angles,
                                 draw_path_gains, even_split, make_config, path_loss_db,
-                                place_nodes)
+                                place_nodes, watts_to_dbm)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -129,6 +129,7 @@ ENTRY = {
     "draw_path_gains": partial(draw_path_gains, np.ones(2), 30.0, 2),
     "init_swarm": partial(init_swarm, SMALL, PSO),
     "path_loss_db": partial(path_loss_db, f_c_ghz=30.0, is_los=True),
+    "watts_to_dbm": watts_to_dbm,
     "ExperimentSpec": SPEC,
     "run_trial": partial(run_trial, SMALL, PSO),
     "run_sweep": partial(run_sweep, SPEC()),
@@ -257,6 +258,7 @@ TABLE = {
         "complex": (1j, "{} must hold real numbers (got dtype complex128)"),
         "zero": (0.0, "{} must be > 0 (got 0.0)"),
         "negative": ((30.0, -1.0), "{} must be > 0 (got -1.0)")},
+    "watts_to_dbm.x_watts": real(0.0, strict=True),
     "ExperimentSpec.n_trials": integer(1),
     "ExperimentSpec.sweep_values": counts(),
     "run_trial.trial_index": integer(0),

@@ -134,6 +134,7 @@ class TestRunSweep:
         result = run_sweep(_spec())
         assert isinstance(result, SweepResult)
         assert result.rates.shape == (2, 2)
+        assert len(dataclasses.fields(result)) == 4  # the aggregates are not fields
         assert result.means == pytest.approx(result.rates.mean(axis=1))
         assert result.stderrs == pytest.approx(
             result.rates.std(axis=1, ddof=1) / np.sqrt(2)
@@ -269,15 +270,8 @@ def test_integer_bounds_name_the_field(key):
 
 def _toy_result():
     rates = np.array([[1.0 / 3.0, 2.0 / 3.0], [1.25, 1.75]])
-    return SweepResult(
-        sweep_param="n_users",
-        sweep_values=(2, 4),
-        rates=rates,
-        means=rates.mean(axis=1),
-        stderrs=rates.std(axis=1, ddof=1) / np.sqrt(2),
-        mean_traces=(np.array([0.25, 0.5]), np.array([1.0, 1.5])),
-        n_trials=2,
-    )
+    return SweepResult("n_users", (2, 4), rates,
+                       (np.array([0.25, 0.5]), np.array([1.0, 1.5])))
 
 
 class TestEmitCsv:
@@ -330,16 +324,8 @@ class TestConvergence:
             assert trace[-1] == pytest.approx(means)
 
     def test_emit_convergence_csv(self, tmp_path):
-        rates = np.array([[2.0], [2.5]])
-        result = SweepResult(
-            sweep_param="m_total",
-            sweep_values=(4, 8),
-            rates=rates,
-            means=rates.mean(axis=1),
-            stderrs=np.zeros(2),
-            mean_traces=(np.array([1.0, 2.0]), np.array([1.5, 2.5])),
-            n_trials=1,
-        )
+        result = SweepResult("m_total", (4, 8), np.array([[2.0], [2.5]]),
+                             (np.array([1.0, 2.0]), np.array([1.5, 2.5])))
         path = emit_convergence_csv(result, tmp_path / "conv.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == [

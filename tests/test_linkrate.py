@@ -566,6 +566,12 @@ def test_empty_batch_gives_empty_rates():
     ev = SumRateEvaluator(realize_channels(cfg, derive_stream(19, 1)))
     got = ev.sum_rates(*_batch(cfg, 0, 4, 19), cfg.noise_variance)
     assert got.shape == (0,) and got.dtype == float
+    # no user (K = 0): empty per-user arrays and sum rates of 0
+    report = sum_rate(np.ones((4, 0), complex), [0], [], 1e-3)
+    assert report.per_ue_rate.shape == (0,) and report.sum_rate == 0.0
+    ev = SumRateEvaluator(ChannelSet((dft_matrix(4)[:, :2],), (np.ones((2, 0)),)))
+    got = ev.sum_rates(np.zeros((2, 3)), [[0, 1, 2]], np.ones((0, 3)), 1e-3)
+    assert got.tolist() == [0.0] * 3
 
 
 def test_reused_evaluator_matches_a_fresh_one():

@@ -69,8 +69,9 @@ def rolled_bests(swarm):
     swarm.personal_best_value[improved] = q[improved]
     swarm.personal_best = np.where(improved, swarm.population, swarm.personal_best)
     lead = int(np.argmax(swarm.personal_best_value))
-    if swarm.personal_best_value[lead] > swarm.global_best_value:
-        swarm.global_best_value = float(swarm.personal_best_value[lead])
+    held = getattr(swarm, "oracle_global_value", -np.inf)  # its own copy, not the index's
+    if swarm.personal_best_value[lead] > held:
+        swarm.oracle_global_value = float(swarm.personal_best_value[lead])
         swarm.global_best_index = lead  # optimize decodes this column
         swarm.oracle_global_best = swarm.personal_best[:, lead].copy()
     return swarm
@@ -297,7 +298,6 @@ def _toy_swarm(population, quality):
         quality=np.asarray(quality, dtype=float),
         personal_best=np.zeros((n_vars, a)),
         personal_best_value=np.full(a, -np.inf),
-        global_best_value=-np.inf,
         global_best_index=0,
         draw_buffers=np.empty((2, n_vars, a)),
     )
@@ -335,6 +335,8 @@ class TestUpdateBests:
         assert swarm.global_best_value == 9.0
         assert swarm.global_best_index == 1
         assert np.array_equal(swarm.personal_best[:, 1], pop[:, 1])
+        with pytest.raises(AttributeError):  # read from the personal bests
+            swarm.global_best_value = 10.0
 
     def test_global_index_moves_only_when_the_value_rises(self):
         pop = np.arange(9.0).reshape(3, 3)
@@ -348,6 +350,9 @@ class TestUpdateBests:
         update_bests(swarm)
         assert (swarm.global_best_index, swarm.global_best_value) == (2, 9.5)
         assert np.array_equal(swarm.personal_best[:, 2], pop[:, 2] + 100.0)
+        swarm.quality = np.array([1.0, 9.75, 9.75])  # 1 and the held 2 tie: 1 leads
+        update_bests(swarm)
+        assert (swarm.global_best_index, swarm.global_best_value) == (1, 9.75)
 
     def test_ring_neighbors(self):
         pop = np.arange(9.0).reshape(3, 3)
@@ -405,7 +410,6 @@ class TestVelocityUpdate:
         swarm.personal_best = np.array([[1.2, 0.7, 0.7]] * 3)
         swarm.personal_best_value = np.array([0.0, 1.0, 1.0])
         swarm.global_best_index = 0
-        swarm.global_best_value = 1.0
         scenario = make_config(n_antennas=1, n_users=1, n_ris=1, m_total=1,
                                n_selected_beams=1)
         cfg = PsoConfig(inertia=0.05, learn_global=2.0, learn_local=2.0)
@@ -422,7 +426,6 @@ class TestVelocityUpdate:
         swarm.population = np.tile(column[:, None], (1, 3))
         swarm.personal_best = swarm.population.copy()
         swarm.personal_best_value = np.ones(3)
-        swarm.global_best_value = 1.0
         update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(
             np.tile(column[:, None], (1, 3)), rel=1e-12
@@ -438,7 +441,6 @@ class TestVelocityUpdate:
         before = swarm.population.copy()
         swarm.personal_best = swarm.population.copy()
         swarm.personal_best_value = np.ones(3)
-        swarm.global_best_value = 1.0
         update_velocity_and_position(swarm, cfg, pcfg, rng)
         assert swarm.population == pytest.approx(before, rel=1e-12)
 
@@ -565,6 +567,7 @@ def _edge_phases():
 class TestAgainstReplacedFormulas:
     def test_phase_wrap_has_the_bits_of_np_mod(self):
         full = _edge_phases()
+        assert project_phases(np.array([-1e-17])).tolist() == [TWO_PI]  # [0, 2*pi]
         within = full[(full >= -TWO_PI) & (full < 2.0 * TWO_PI)]  # no fmod needed
         assert {0.0, TWO_PI, -TWO_PI, np.nextafter(2.0 * TWO_PI, 0.0),
                 5e-324} <= set(within.tolist())
@@ -628,7 +631,6 @@ class TestAgainstReplacedFormulas:
             swarm.quality = derive_stream(24, 2).random(a)
             swarm.velocity = derive_stream(24, 3).normal(size=swarm.velocity.shape)
             twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
-            twin.global_best_value = swarm.global_best_value
             update_bests(swarm)
             rolled_bests(twin)
             for _ in range(3):
@@ -642,7 +644,6 @@ class TestAgainstReplacedFormulas:
                           n_selected_beams=4)
         swarm = init_swarm(cfg, PsoConfig(n_particles=9), derive_stream(25, 1))
         twin = Swarm(**{k: np.copy(v) for k, v in vars(swarm).items()})
-        twin.global_best_value = swarm.global_best_value
         rng = derive_stream(25, 2)
         for _ in range(6):
             quality = rng.integers(0, 4, 9).astype(float)  # ties and drops
@@ -651,7 +652,7 @@ class TestAgainstReplacedFormulas:
             update_bests(swarm)
             rolled_bests(twin)
             assert swarm.personal_best.tobytes() == twin.personal_best.tobytes()
-            assert swarm.global_best_value == twin.global_best_value
+            assert swarm.global_best_value == twin.oracle_global_value
             assert np.array_equal(swarm.personal_best[:, swarm.global_best_index],
                                   twin.oracle_global_best)
 

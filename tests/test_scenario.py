@@ -128,7 +128,6 @@ class TestPlaceNodes:
     def test_bs_at_origin_and_distances(self):
         cfg = make_config()
         layout = place_nodes(cfg, np.random.default_rng(3))
-        assert layout.bs_position == pytest.approx((0.0, 0.0))
         assert layout.bs_ris_distances() == pytest.approx(
             np.full(8, 40.0), rel=1e-12
         )
